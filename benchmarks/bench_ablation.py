@@ -1,6 +1,6 @@
 """E10 — ablations of JIM's design choices.
 
-Regenerates the three ablations called out in DESIGN.md: the value of pruning
+Regenerates the three design-choice ablations: the value of pruning
 uninformative tuples, the effect of restricting the atom universe to
 cross-relation pairs, and what deeper lookahead (up to the exponential optimal
 strategy) buys.  The timed operation is the exponential optimal strategy run

@@ -1,7 +1,7 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
 Every benchmark module regenerates one of the paper's figures/experiments
-(see DESIGN.md, experiment index E1–E10).  Besides timing a representative
+(E1–E10, see EXPERIMENTS.md).  Besides timing a representative
 operation with pytest-benchmark, each module prints the corresponding result
 table through :func:`report`, so running::
 

@@ -306,7 +306,7 @@ def main() -> None:
         _section(
             "E10",
             "Ablations of the design choices",
-            "Design choices called out in DESIGN.md: pruning of uninformative tuples, the "
+            "Three of JIM's design choices: pruning of uninformative tuples, the "
             "cross-relation restriction of the atom universe, and the depth of lookahead "
             "(up to the exponential optimal strategy).",
             "Pruning/guidance reduces labels vs an unguided user; the all-pairs universe is "
@@ -339,7 +339,7 @@ def main() -> None:
         "comparisons, picture joins).  Each section below states the paper's claim, the\n"
         "expected qualitative shape, and the tables measured with this implementation.\n"
         "Absolute timings naturally differ from the 2014 Java GUI; the shapes are what\n"
-        "is being reproduced.  See DESIGN.md for the experiment→module map.\n\n"
+        "is being reproduced.  Each section ends with the benchmark that regenerates it.\n\n"
         f"Environment: Python {platform.python_version()} on {platform.system()} "
         f"{platform.machine()}, repro {__version__}.  "
         f"Report generated by `python scripts/generate_experiments_report.py` "

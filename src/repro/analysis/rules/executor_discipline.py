@@ -6,7 +6,7 @@ that may never score a candidate, and forking from whatever state the
 importer happens to hold), and a pool nobody shuts down leaks workers past
 the session that needed them.  The project therefore centralizes pool
 construction in :mod:`repro.core.parallel` — the one reviewed place that
-knows the parallel mode, the worker count and the shutdown story.
+knows the worker count and the shutdown story.
 
 The rule flags:
 
@@ -15,10 +15,9 @@ The rule flags:
   ``repro.core.parallel`` itself.  Pools must be created lazily, on first
   use.
 * **Pool creation outside the sanctioned module** — calls whose final name
-  segment is a pool constructor (``ThreadPoolExecutor``,
-  ``ProcessPoolExecutor``, ``Pool``, ``ThreadPool``) in any other file.
-  Obtain pools via :func:`repro.core.parallel.create_thread_pool` or
-  :func:`repro.core.parallel.get_executor` instead.
+  segment is a pool constructor (any ``*PoolExecutor``, ``Pool``,
+  ``ThreadPool``) in any other file.  Obtain a pool via
+  :func:`repro.core.parallel.create_thread_pool` instead.
 * **Pool-owning classes without a shutdown surface** — a class whose method
   assigns a pool (a pool constructor or ``create_thread_pool``) to a
   ``self`` attribute must define ``close``, ``shutdown``, ``__exit__`` or
@@ -33,14 +32,14 @@ from collections.abc import Iterator
 
 from ..framework import Finding, ModuleSource, Rule, Scope, dotted_name, register_rule
 
-#: Final name segments that construct a worker pool.
-POOL_CONSTRUCTORS = frozenset(
-    {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "ThreadPool"}
-)
+#: Final name segments that construct a worker pool, besides every
+#: ``concurrent.futures``-style ``*PoolExecutor`` class.
+POOL_CONSTRUCTORS = frozenset({"Pool", "ThreadPool"})
+POOL_EXECUTOR_SUFFIX = "PoolExecutor"
 
-#: Calls that hand out a pool (constructors plus the sanctioned factory);
-#: assigning any of these to a ``self`` attribute makes a class a pool owner.
-POOL_FACTORIES = POOL_CONSTRUCTORS | {"create_thread_pool"}
+#: The sanctioned factory; assigning its result (or a constructor's) to a
+#: ``self`` attribute makes a class a pool owner.
+POOL_FACTORY = "create_thread_pool"
 
 #: The one module allowed to call pool constructors (lazily).
 SANCTIONED_MODULE = "*core/parallel.py"
@@ -57,6 +56,13 @@ def _final_segment(func: ast.expr) -> str | None:
     if dotted:
         return dotted.rsplit(".", 1)[-1]
     return None
+
+
+def _is_pool_constructor(segment: str | None) -> bool:
+    """Whether a call's final name segment constructs a worker pool."""
+    return segment is not None and (
+        segment in POOL_CONSTRUCTORS or segment.endswith(POOL_EXECUTOR_SUFFIX)
+    )
 
 
 def _nodes_inside_functions(tree: ast.Module) -> frozenset[int]:
@@ -78,7 +84,8 @@ def _assigns_pool_to_self(method: ast.FunctionDef | ast.AsyncFunctionDef) -> boo
         value = node.value
         if not isinstance(value, ast.Call):
             continue
-        if _final_segment(value.func) not in POOL_FACTORIES:
+        segment = _final_segment(value.func)
+        if segment != POOL_FACTORY and not _is_pool_constructor(segment):
             continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
@@ -107,7 +114,7 @@ class ExecutorDisciplineRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 segment = _final_segment(node.func)
-                if segment not in POOL_CONSTRUCTORS:
+                if not _is_pool_constructor(segment):
                     continue
                 if id(node) not in inside_functions:
                     yield self.finding(
@@ -121,7 +128,7 @@ class ExecutorDisciplineRule(Rule):
                         module,
                         node,
                         f"{segment}() created outside repro.core.parallel; use "
-                        "create_thread_pool() or get_executor() instead",
+                        "create_thread_pool() instead",
                     )
             elif isinstance(node, ast.ClassDef):
                 yield from self._check_class(module, node)

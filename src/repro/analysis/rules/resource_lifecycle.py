@@ -43,9 +43,9 @@ from ..framework import Finding, Scope, dotted_name, register_rule
 from ..project import LIFECYCLE_METHODS, ModuleInfo, ProjectModel, ProjectRule
 
 #: Constructor class names tracked wherever they resolve from.
-TRACKED_CLASSES = frozenset(
-    {"FramedConnection", "Listener", "ThreadPoolExecutor", "ProcessPoolExecutor", "Popen"}
-)
+TRACKED_CLASSES = frozenset({"FramedConnection", "Listener", "Popen"})
+#: Every ``concurrent.futures``-style ``*PoolExecutor`` class is tracked too.
+TRACKED_EXECUTOR_SUFFIX = "PoolExecutor"
 
 #: Factory functions tracked when they resolve into the owning module.
 TRACKED_FACTORIES = {
@@ -288,7 +288,7 @@ class _ResourceScan:
             return None
         resolved = self.project.resolve_dotted(self.info.name, dotted)
         last = resolved.split(".")[-1]
-        if last in TRACKED_CLASSES:
+        if last in TRACKED_CLASSES or last.endswith(TRACKED_EXECUTOR_SUFFIX):
             if last == "Popen" and "subprocess" not in resolved.split("."):
                 return None
             return last

@@ -38,10 +38,8 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
 from ..relational.columnar import (
-    ComboGrid,
     FactorGrouping,
     UnencodableValue,
-    build_combo_histogram,
     columnar_equality_masks,
     combo_equalities,
 )
@@ -52,34 +50,22 @@ from .kernels import numpy_enabled as _numpy_ids_on
 class _FactorizedTypes:
     """The lazy per-tuple machinery of a factorized equality-type index.
 
-    ``combo_masks`` maps a group combination to its equality mask — either a
-    plain dict (serial construction) or a
-    :class:`~repro.relational.columnar.ComboGrid` (parallel construction);
-    both are indexed by combo tuple and enumerate ``(combo, mask)`` in the
-    same product order.  The per-mask combination lists are built lazily on
-    first id lookup when the constructor did not provide them — one pass over
-    the grid, paid only by sessions that materialise per-type tuple ids.
+    ``combo_masks`` maps each group combination to its equality mask, and
+    ``combos_by_mask`` lists each type's combinations in product order;
+    per-tuple masks and per-type tuple ids are derived from them on demand.
     """
 
-    __slots__ = ("grouping", "combo_masks", "_combos_by_mask")
+    __slots__ = ("grouping", "combo_masks", "combos_by_mask")
 
     def __init__(
         self,
         grouping: FactorGrouping,
-        combo_masks: dict[tuple[int, ...], int] | ComboGrid,
-        combos_by_mask: dict[int, list[tuple[int, ...]]] | None = None,
+        combo_masks: dict[tuple[int, ...], int],
+        combos_by_mask: dict[int, list[tuple[int, ...]]],
     ) -> None:
         self.grouping = grouping
         self.combo_masks = combo_masks
-        self._combos_by_mask = combos_by_mask
-
-    def _by_mask(self) -> dict[int, list[tuple[int, ...]]]:
-        if self._combos_by_mask is None:
-            table: dict[int, list[tuple[int, ...]]] = {}
-            for combo, mask in self.combo_masks.items():
-                table.setdefault(mask, []).append(combo)
-            self._combos_by_mask = table
-        return self._combos_by_mask
+        self.combos_by_mask = combos_by_mask
 
     def mask_of(self, tuple_id: int) -> int:
         """E(t) of one tuple: locate its group combination, look the mask up."""
@@ -97,13 +83,13 @@ class _FactorizedTypes:
 
     #: Above this many combinations per type, per-combination numpy dispatch
     #: costs more than the ids it produces (large grids put most types on
-    #: ~one candidate per combination); the bulk mixed-radix loop — which
-    #: also fans across the pool in process mode — wins on both backends.
+    #: ~one candidate per combination); the bulk mixed-radix loop wins on
+    #: both backends.
     _MANY_COMBOS = 4096
 
     def ids_of_mask(self, mask: int) -> tuple[int, ...]:
         """All tuple ids of one equality type, ascending."""
-        combos = self._by_mask().get(mask, ())
+        combos = self.combos_by_mask.get(mask, ())
         if not combos:
             return ()
         grouping = self.grouping
@@ -127,7 +113,7 @@ class _FactorizedTypes:
         every factor group; the type's minimum is the smallest across its
         combinations — O(#combinations × #factors) instead of O(type size).
         """
-        combos = self._by_mask().get(mask)
+        combos = self.combos_by_mask.get(mask)
         if not combos:
             return None
         return self.grouping.min_id_of_combos(combos)
@@ -160,22 +146,9 @@ class EqualityTypeIndex:
     # Construction paths
     # ------------------------------------------------------------------ #
     def _build_factorized(self, factorization, pairs) -> None:
-        """Factorized histogram: one evaluation per group combination.
-
-        When a parallel mode is active and the combination grid is large,
-        the evaluation fans across the worker pool
-        (:func:`~repro.relational.columnar.build_combo_histogram`) with the
-        distinct-type order — and everything derived from it — byte-identical
-        to this serial loop.
-        """
+        """Factorized histogram: one evaluation per group combination."""
         used_columns = sorted({position for pair in pairs for position in pair})
         grouping = self.table.factor_grouping(used_columns)
-        fanned = build_combo_histogram(grouping, pairs)
-        if fanned is not None:
-            grid, sizes = fanned
-            self._factorized = _FactorizedTypes(grouping, grid)
-            self._type_sizes = sizes
-            return
         combo_masks: dict[tuple[int, ...], int] = {}
         combos_by_mask: dict[int, list[tuple[int, ...]]] = {}
         sizes = {}

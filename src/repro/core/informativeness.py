@@ -205,7 +205,7 @@ class TypeStatusCache:
 
         Delegates to :meth:`TypeTable.prune_counts_informative
         <repro.core.kernels._BaseTypeTable.prune_counts_informative>`, so a
-        sharded table fans the evaluation across the worker pool while flat
+        sharded table fans the evaluation across the shard pool while flat
         tables run the single batched kernel — callers (the strategies, via
         :class:`~repro.core.state.InferenceState`) never know the difference.
         """

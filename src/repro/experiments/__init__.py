@@ -1,6 +1,7 @@
 """Experiments: the harnesses that regenerate every figure of the paper.
 
-See DESIGN.md (experiment index E1–E10) and EXPERIMENTS.md (measured results).
+See EXPERIMENTS.md for the experiments E1–E10, their measured results and the
+benchmark that regenerates each.
 Each module exposes plain functions returning
 :class:`~repro.experiments.results.ResultTable` objects; the corresponding
 benchmarks in ``benchmarks/`` call them and print the tables.

@@ -1,6 +1,6 @@
 """E10 — ablations of JIM's design choices.
 
-Three design choices called out in DESIGN.md are ablated here:
+Three of JIM's design choices are ablated here:
 
 * **Pruning of uninformative tuples** — the heart of the system: compare the
   guided loop (which never asks about uninformative tuples) against an

@@ -32,7 +32,6 @@ in :mod:`repro.core.equality_types`, which consumes these helpers.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterator, Mapping, Sequence
 
 try:  # Optional fast path; every consumer has an exact pure-Python fallback.
@@ -306,74 +305,42 @@ class FactorGrouping:
         The bulk form of :meth:`ids_of_combo` for types that span very many
         combinations (large grids put most types on ~one candidate per
         combination, where per-combination dispatch — numpy array setup in
-        particular — dominates the actual id arithmetic).  One tight
-        mixed-radix loop; in process-parallel mode the combination list is
-        chunked across the worker pool (the propagation side of the 10⁶-
-        candidate hot path) with a bit-identical merged result.
+        particular — dominates the actual id arithmetic): one tight
+        mixed-radix loop, then one sort.
         """
-        from ..core import parallel as _parallel
-
-        if len(combos) >= _MIN_FAN_COMBOS and _parallel.parallel_mode() == "process":
-            executor = _parallel.get_executor("process")
-            bounds = _parallel.even_ranges(len(combos), executor.max_workers * 2)
-            payloads = [
-                {
-                    "members": self.members,
-                    "strides": self.factorization.strides,
-                    "combos": combos[start:stop],
-                }
-                for start, stop in bounds
-            ]
-            merged: list[int] = []
-            for chunk in executor.map(combo_ids_chunk, payloads):
-                merged.extend(chunk)
-            merged.sort()
-            return merged
-        return combo_ids_chunk(
-            {
-                "members": self.members,
-                "strides": self.factorization.strides,
-                "combos": combos,
-            }
-        )
+        members = self.members
+        strides = self.factorization.strides
+        ids: list[int] = []
+        append = ids.append
+        for combo in combos:
+            member_lists = [members[factor][gid] for factor, gid in enumerate(combo)]
+            for digits in itertools.product(*member_lists):
+                tuple_id = 0
+                for digit, stride in zip(digits, strides, strict=True):
+                    tuple_id += digit * stride
+                append(tuple_id)
+        ids.sort()
+        return ids
 
     def min_id_of_combos(self, combos: Sequence[Sequence[int]]) -> int | None:
         """The smallest candidate id across many combinations.
 
         Each combination's smallest id uses the first (= smallest) member of
         every factor group, so the scan is O(#combinations × #factors) with
-        nothing materialised; in process-parallel mode large combination
-        lists are chunked across the pool and the chunk minima are merged.
+        nothing materialised.
         """
-        from ..core import parallel as _parallel
-
         if not combos:
             return None
         first_members = [[group[0] for group in factor] for factor in self.members]
-        if len(combos) >= _MIN_FAN_COMBOS and _parallel.parallel_mode() == "process":
-            executor = _parallel.get_executor("process")
-            bounds = _parallel.even_ranges(len(combos), executor.max_workers * 2)
-            payloads = [
-                {
-                    "first_members": first_members,
-                    "strides": self.factorization.strides,
-                    "combos": combos[start:stop],
-                }
-                for start, stop in bounds
-            ]
-            minima = [
-                chunk_min
-                for chunk_min in executor.map(combo_min_id_chunk, payloads)
-                if chunk_min is not None
-            ]
-            return min(minima) if minima else None
-        return combo_min_id_chunk(
-            {
-                "first_members": first_members,
-                "strides": self.factorization.strides,
-                "combos": combos,
-            }
-        )
+        strides = self.factorization.strides
+        best: int | None = None
+        for combo in combos:
+            tuple_id = 0
+            for factor, gid in enumerate(combo):
+                tuple_id += first_members[factor][gid] * strides[factor]
+            if best is None or tuple_id < best:
+                best = tuple_id
+        return best
 
     def _member_array(self, factor: int, gid: int) -> _np.ndarray:
         """One group's base-row indices as a cached int64 vector."""
@@ -483,174 +450,3 @@ def combo_equalities(
         for factor, gid in enumerate(combo):
             count *= counts[factor][gid]
         yield combo, mask, count
-
-
-# --------------------------------------------------------------------- #
-# Parallel histogram construction
-# --------------------------------------------------------------------- #
-#: Combination grids below this size stay serial: fanning out costs payload
-#: pickling plus (on a cold pool) worker startup, which only pays for itself
-#: once the per-combination work dominates.
-_MIN_PARALLEL_COMBOS = 4096
-
-
-class ComboGrid:
-    """Flat row-major storage of per-combination masks, indexed by combo.
-
-    The parallel histogram's replacement for the ``combo -> mask`` dict: the
-    worker chunks return flat mask lists in ``itertools.product`` order, and
-    concatenating them in chunk order *is* the row-major grid — no per-combo
-    dict insertions on the parent.  ``grid[combo]`` resolves through the same
-    mixed-radix arithmetic the serial product order defines, and
-    :meth:`items` re-enumerates ``(combo, mask)`` pairs in exactly that
-    order, so consumers observe the dict path's iteration order verbatim.
-    """
-
-    __slots__ = ("flat", "shape", "strides")
-
-    def __init__(self, flat: list[int], shape: Sequence[int]) -> None:
-        self.flat = flat
-        self.shape = tuple(shape)
-        strides = [1] * len(self.shape)
-        for index in range(len(self.shape) - 2, -1, -1):
-            strides[index] = strides[index + 1] * self.shape[index + 1]
-        self.strides = tuple(strides)
-
-    def __len__(self) -> int:
-        return len(self.flat)
-
-    def __getitem__(self, combo: Sequence[int]) -> int:
-        flat_index = 0
-        for gid, stride in zip(combo, self.strides, strict=True):
-            flat_index += gid * stride
-        return self.flat[flat_index]
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """``(combo, mask)`` pairs in row-major (= serial product) order."""
-        combos = itertools.product(*(range(size) for size in self.shape))
-        return zip(combos, self.flat, strict=True)
-
-
-def combo_histogram_chunk(payload: dict) -> tuple[list[int], list[tuple[int, int]]]:
-    """Worker task: masks + partial type histogram for one grid slice.
-
-    The slice is a contiguous range of the *first* factor's groups — the
-    slowest-varying product digit — so the returned flat mask list is a
-    contiguous row-major block of the full grid.  The partial histogram
-    lists ``(mask, count)`` in first-appearance order within the slice;
-    merging the slices in order therefore reproduces the serial loop's
-    first-appearance (dict insertion) order exactly.
-    """
-    profiles = payload["profiles"]
-    pair_slots = payload["pair_slots"]
-    counts = payload["counts"]
-    start, stop = payload["first_range"]
-    rest = [range(len(factor)) for factor in profiles[1:]]
-    masks: list[int] = []
-    sizes: dict[int, int] = {}
-    for combo in itertools.product(range(start, stop), *rest):
-        mask = 0
-        bit = 1
-        for (left_factor, left_slot), (right_factor, right_slot) in pair_slots:
-            code = profiles[left_factor][combo[left_factor]][left_slot]
-            if code >= 0 and code == profiles[right_factor][combo[right_factor]][right_slot]:
-                mask |= bit
-            bit <<= 1
-        count = 1
-        for factor, gid in enumerate(combo):
-            count *= counts[factor][gid]
-        masks.append(mask)
-        sizes[mask] = sizes.get(mask, 0) + count
-    return masks, list(sizes.items())
-
-
-#: Types spanning fewer combinations than this materialise their ids without
-#: the pool even in process mode: each payload ships the grouping's full
-#: member lists, which only pays for itself once the combination loop
-#: dominates.
-_MIN_FAN_COMBOS = 16384
-
-
-def combo_ids_chunk(payload: dict) -> list[int]:
-    """Worker task: the candidate ids of a slice of one type's combinations.
-
-    Pure mixed-radix arithmetic over the shipped member lists, with no
-    per-combination dispatch.  Each chunk comes back sorted, so the parent's
-    final sort over the concatenated chunks runs on pre-sorted runs.
-    """
-    members = payload["members"]
-    strides = payload["strides"]
-    ids: list[int] = []
-    append = ids.append
-    for combo in payload["combos"]:
-        member_lists = [members[factor][gid] for factor, gid in enumerate(combo)]
-        for digits in itertools.product(*member_lists):
-            tuple_id = 0
-            for digit, stride in zip(digits, strides, strict=True):
-                tuple_id += digit * stride
-            append(tuple_id)
-    ids.sort()
-    return ids
-
-
-def combo_min_id_chunk(payload: dict) -> int | None:
-    """Worker task: the smallest candidate id of a slice of combinations.
-
-    ``first_members[f][g]`` is the smallest base-row index of group ``g`` of
-    factor ``f`` — each combination's minimum id combines exactly those, so
-    the chunk reduces to one mixed-radix min scan.
-    """
-    first_members = payload["first_members"]
-    strides = payload["strides"]
-    best: int | None = None
-    for combo in payload["combos"]:
-        tuple_id = 0
-        for factor, gid in enumerate(combo):
-            tuple_id += first_members[factor][gid] * strides[factor]
-        if best is None or tuple_id < best:
-            best = tuple_id
-    return best
-
-
-def build_combo_histogram(
-    grouping: FactorGrouping, pairs: Sequence[tuple[int, int]]
-) -> tuple[ComboGrid, dict[int, int]] | None:
-    """The factorized type histogram, fanned across the worker pool.
-
-    Returns ``(combo_masks, sizes)`` — a :class:`ComboGrid` over the
-    combination grid plus the distinct-type histogram in the serial loop's
-    first-appearance order — or ``None`` when the parallel mode is off, the
-    grid is too small to pay for fan-out, or the first factor cannot be
-    chunked; the caller then runs the serial :func:`combo_equalities` loop.
-    """
-    from ..core import parallel as _parallel
-
-    mode = _parallel.parallel_mode()
-    if mode == "serial":
-        return None
-    profiles = grouping.profiles
-    shape = [len(factor) for factor in profiles]
-    total = math.prod(shape) if shape else 0
-    if total < _MIN_PARALLEL_COMBOS or shape[0] < 2:
-        return None
-    slot_of = grouping.slot_of
-    pair_slots = [(slot_of[left], slot_of[right]) for left, right in pairs]
-    counts = grouping.group_counts()
-    executor = _parallel.get_executor(mode)
-    chunks = _parallel.even_ranges(shape[0], min(shape[0], executor.max_workers * 2))
-    payloads = [
-        {
-            "profiles": profiles,
-            "pair_slots": pair_slots,
-            "counts": counts,
-            "first_range": chunk,
-        }
-        for chunk in chunks
-    ]
-    flat: list[int] = []
-    sizes: dict[int, int] = {}
-    for chunk_masks, chunk_sizes in executor.map(combo_histogram_chunk, payloads):
-        flat.extend(chunk_masks)
-        for mask, count in chunk_sizes:
-            sizes[mask] = sizes.get(mask, 0) + count
-    return ComboGrid(flat, shape), sizes

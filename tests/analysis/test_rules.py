@@ -486,7 +486,7 @@ class TestExecutorDiscipline:
             import concurrent.futures
 
             def score(chunks):
-                pool = concurrent.futures.ProcessPoolExecutor(max_workers=2)
+                pool = concurrent.futures.ThreadPoolExecutor(max_workers=2)
                 try:
                     return list(pool.map(sum, chunks))
                 finally:
@@ -495,6 +495,22 @@ class TestExecutorDiscipline:
         )
         assert len(findings) == 1
         assert "outside repro.core.parallel" in findings[0].message
+
+    def test_flags_any_pool_executor_outside_sanctioned_module(self, tmp_path):
+        findings = run_rule(
+            "RPR007",
+            tmp_path,
+            "src/repro/experiments/rogue.py",
+            """\
+            from concurrent import futures
+
+            def score(chunks):
+                with futures.InterpreterPoolExecutor(max_workers=2) as pool:
+                    return list(pool.map(sum, chunks))
+            """,
+        )
+        assert len(findings) == 1
+        assert "InterpreterPoolExecutor() created outside" in findings[0].message
 
     def test_sanctioned_module_may_create_lazily(self, tmp_path):
         findings = run_rule(

@@ -1,118 +1,183 @@
-"""Tests for the executor layer: mode resolution, pool lifecycle, worker tasks."""
+"""Tests for the thread fan-out: the automatic sharding rule and the shared pool."""
 
 from __future__ import annotations
+
+import contextvars
+import os
+import signal
+import time
 
 import pytest
 
 from repro.core import parallel
-from repro.core.kernels import HAVE_NUMPY
+from repro.core.kernels import (
+    HAVE_NUMPY,
+    NumpyTypeTable,
+    PyTypeTable,
+    ShardedTypeTable,
+    make_type_table,
+    use_backend,
+)
+
+C = parallel.TYPES_PER_SHARD
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the rule only fans numpy tables")
 
 
 @pytest.fixture(autouse=True)
-def _clean_executors():
+def _release_pool():
     yield
-    parallel.shutdown_executors()
+    parallel.shutdown_pool()
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(parallel, "available_cpus", lambda: count)
+
+
+def _table(types: int, wide: bool = False, backend: str = "numpy"):
+    base = 1 << 63 if wide else 0
+    return make_type_table([base + mask for mask in range(types)], [1] * types, backend=backend)
 
 
 class TestModeResolution:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    """The automatic rule: which tables shard, into how many shards."""
+
+    @needs_numpy
+    def test_single_cpu_stays_flat(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        assert isinstance(_table(8 * C), NumpyTypeTable)
         assert parallel.parallel_mode() == "serial"
-        assert not parallel.parallel_enabled()
 
-    def test_environment_variable_selects_the_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "thread")
-        assert parallel.parallel_mode() == "thread"
-        assert parallel.parallel_enabled()
-
-    def test_invalid_environment_mode_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "gpu")
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            parallel.parallel_mode()
-
-    def test_scope_overrides_environment_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "thread")
-        with parallel.parallel_scope("process"):
-            assert parallel.parallel_mode() == "process"
-            with parallel.parallel_scope("serial"):
-                assert parallel.parallel_mode() == "serial"
-            assert parallel.parallel_mode() == "process"
+    @needs_numpy
+    def test_below_two_shards_of_types_stays_flat(self, monkeypatch):
+        _cpus(monkeypatch, 8)
+        assert isinstance(_table(2 * C - 1), NumpyTypeTable)
         assert parallel.parallel_mode() == "thread"
 
-    def test_scope_rejects_unknown_modes(self):
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            parallel.parallel_scope("fibers")
+    def test_python_backend_stays_flat(self, monkeypatch):
+        _cpus(monkeypatch, 8)
+        assert isinstance(_table(4 * C, backend="python"), PyTypeTable)
+        with use_backend("python"):
+            assert parallel.parallel_mode() == "serial"
 
-    def test_auto_resolves_by_numpy_availability(self):
-        with parallel.parallel_scope("auto"):
-            assert parallel.parallel_mode() == ("thread" if HAVE_NUMPY else "process")
+    def test_masks_past_the_int64_lane_stay_flat(self, monkeypatch):
+        _cpus(monkeypatch, 8)
+        assert isinstance(_table(4 * C, wide=True), PyTypeTable)
 
     def test_shard_count_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_SHARDS", raising=False)
-        assert parallel.shard_count() == parallel.available_cpus()
-        monkeypatch.setenv("REPRO_PARALLEL_SHARDS", "6")
-        assert parallel.shard_count() == 6
-        with parallel.parallel_scope("serial", shards=3):
-            assert parallel.shard_count() == 3
-        assert parallel.shard_count() == 6
+        for cpus, types, expected in [
+            (1, 9 * C, 1), (2, 2 * C - 1, 1), (2, 2 * C, 2), (2, 9 * C, 2),
+            (4, 3 * C + 7, 3), (4, 9 * C, 4), (16, 5 * C, 5),
+        ]:
+            _cpus(monkeypatch, cpus)
+            assert parallel.auto_shards(types) == min(cpus, types // C) == expected
+
+    def test_auto_resolves_by_numpy_availability(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        assert parallel.parallel_mode() == ("thread" if HAVE_NUMPY else "serial")
+        with use_backend("python"):
+            assert parallel.parallel_mode() == "serial"
+
+    @needs_numpy
+    @pytest.mark.parametrize(
+        ("cpus", "types", "expected"),
+        [(2, 2 * C, 2), (2, 9 * C, 2), (4, 3 * C + 7, 3), (4, 9 * C, 4), (16, 5 * C, 5)],
+    )
+    def test_large_numpy_tables_shard(self, monkeypatch, cpus, types, expected):
+        _cpus(monkeypatch, cpus)
+        table = _table(types)
+        assert isinstance(table, ShardedTypeTable)
+        assert len(table.shards) == expected
+        assert all(isinstance(shard, NumpyTypeTable) for shard in table.shards)
+        assert parallel.parallel_mode() == "thread"
+
+    def test_cpu_count_follows_the_process_affinity(self, monkeypatch):
+        # A process pinned to 2 CPUs of a 64-CPU host sizes its fan for 2.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert parallel.available_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert parallel.available_cpus() == 64
+
+    def test_explicit_shards_always_fan(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        table = make_type_table([1, 2, 3], [1, 1, 1], backend="python", shards=2)
+        assert isinstance(table, ShardedTypeTable)
+        assert len(table.shards) == 2
 
 
 class TestParallelExecutor:
+    """The shared shard pool behind :func:`parallel.fan_out`."""
+
     def test_pool_starts_lazily_and_single_payloads_skip_it(self):
-        with parallel.ParallelExecutor("thread", max_workers=2) as executor:
-            assert not executor.started
-            assert executor.map(lambda x: x + 1, []) == []
-            assert executor.map(lambda x: x + 1, [41]) == [42]
-            assert not executor.started  # one payload cannot fan out
-            assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-            assert executor.started
+        parallel.shutdown_pool()
+        assert parallel.fan_out(lambda x: x + 1, []) == []
+        assert parallel.fan_out(lambda x: x + 1, [41]) == [42]
+        assert parallel._pool is None  # one payload cannot fan out
+        assert parallel.fan_out(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+        assert parallel._pool is not None
+        parallel.shutdown_pool()
+        parallel.shutdown_pool()  # idempotent
+        assert parallel._pool is None
+        assert parallel.fan_out(lambda x: -x, [1, 2]) == [-1, -2]  # restarts lazily
 
-    def test_closed_executor_refuses_work(self):
-        executor = parallel.ParallelExecutor("thread", max_workers=2)
-        executor.close()
-        executor.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.map(lambda x: x, [1, 2])
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_fans_out_on_a_pool_of_its_own(self):
+        # The parent's pool threads do not survive fork; a child that reused
+        # the inherited pool object would wait forever for its shards.
+        assert parallel.fan_out(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        inherited = parallel._pool
+        assert inherited is not None
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            status = 1
+            try:
+                signal.alarm(10)  # a hang fails the test instead of stalling it
+                if (
+                    parallel._pool is None
+                    and parallel.fan_out(lambda x: x * 10, [1, 2, 3]) == [10, 20, 30]
+                    and parallel._pool is not inherited
+                ):
+                    status = 0
+                parallel.shutdown_pool()
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert parallel._pool is inherited  # the parent's pool is untouched
+        assert parallel.fan_out(lambda x: -x, [1, 2]) == [-1, -2]
 
-    def test_rejects_serial_mode(self):
-        with pytest.raises(ValueError, match="'thread' or 'process'"):
-            parallel.ParallelExecutor("serial")
+    def test_a_failing_task_raises_after_every_task_finished(self):
+        finished = []
 
-    def test_get_executor_is_shared_per_mode_and_rejects_serial(self):
-        first = parallel.get_executor("thread")
-        assert parallel.get_executor("thread") is first
-        with pytest.raises(ValueError, match="serial"):
-            parallel.get_executor("serial")
-        parallel.shutdown_executors()
-        assert parallel.get_executor("thread") is not first
+        def task(item):
+            if item == 0:
+                raise ValueError("inline shard failed")
+            time.sleep(0.02)
+            finished.append(item)
+
+        with pytest.raises(ValueError, match="inline shard failed"):
+            parallel.fan_out(task, [0, 1, 2])
+        assert sorted(finished) == [1, 2]
 
 
 class TestWorkerTask:
-    def _payload(self, **overrides):
-        payload = {
-            "fingerprint": "f" * 12,
-            "shard": 0,
-            "span": (0, 2),
-            "info_local": [0, 1],
-            "info_counts": [3, 5],
-            "candidates": [0b01, 0b11],
-            "positive_mask": 0b11,
-            "negative_masks": (),
-            "backend": "python",
-        }
-        payload.update(overrides)
-        return payload
+    """What a fanned task sees, and how per-shard results combine."""
 
-    def test_cache_miss_then_resend_with_masks(self):
-        payload = self._payload(fingerprint="never-shipped")
-        assert parallel.prune_shard_task(payload) == ("miss", None)
-        status, counts = parallel.prune_shard_task(self._payload(
-            fingerprint="never-shipped", masks=(0b01, 0b11)
-        ))
-        assert status == "ok"
-        # Cached now: the same call without the column succeeds.
-        status_again, counts_again = parallel.prune_shard_task(payload)
-        assert status_again == "ok" and counts_again == counts
+    def test_tasks_see_the_callers_context(self):
+        marker = contextvars.ContextVar("marker", default=None)
+
+        def task(item):
+            seen = marker.get()
+            marker.set(item)  # confined to this task's own context copy
+            return seen
+
+        token = marker.set("caller")
+        try:
+            assert parallel.fan_out(task, list(range(6))) == ["caller"] * 6
+            assert marker.get() == "caller"
+        finally:
+            marker.reset(token)
 
     def test_merge_partial_counts_sums_elementwise(self):
         assert parallel.merge_partial_counts([]) == []

@@ -16,7 +16,12 @@ result bit for bit, for any K"* — so that is exactly what this suite pins:
   every shard even when numpy was requested;
 * copy-on-write clones of a sharded table must be isolated from their
   parents, exactly like flat clones;
-* the thread-mode fan (shared executor) must not change any of the above.
+* the automatic fan of :func:`make_type_table` must not change any of the
+  above;
+* whole inference sessions must ask the same questions in the same order
+  and infer the same query with any shard count, for every strategy and
+  backend (the trace-equivalence matrix), and with the automatic rule on a
+  table wide enough for it to shard.
 """
 
 from __future__ import annotations
@@ -25,13 +30,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import parallel
+from repro import GoalQueryOracle, JoinInferenceEngine
+from repro.core import informativeness, parallel
 from repro.core.kernels import (
     HAVE_NUMPY,
     ShardedTypeTable,
     available_backends,
     make_type_table,
+    use_backend,
 )
+from repro.core.state import InferenceState
+from repro.core.strategies.registry import available_strategies, create_strategy
+from repro.datasets import synthetic
+from repro.datasets.workloads import figure1_workload
+from repro.experiments.scalability import scalability_workloads
 
 SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -40,10 +52,10 @@ SETTINGS = settings(
 
 @pytest.fixture(autouse=True, scope="module")
 def _release_pools():
-    # The thread-mode test warms the shared executor; release its workers
-    # once the module is done (pools are persistent by design).
+    # Fanned calls warm the shared shard pool; release its workers once the
+    # module is done (the pool is persistent by design).
     yield
-    parallel.shutdown_executors()
+    parallel.shutdown_pool()
 
 NARROW_MASKS = st.integers(min_value=0, max_value=(1 << 12) - 1)
 WIDE_MASKS = st.integers(min_value=1 << 63, max_value=(1 << 70) - 1)
@@ -179,7 +191,7 @@ class TestShardedEquivalence:
         before = _observables(table, masks)
 
         clone = table.copy()
-        assert clone.fingerprint == table.fingerprint  # shared mask column
+        assert clone.masks is table.masks  # shared mask column
         assert _observables(clone, masks) == before
         clone.decrement_unlabeled(data.draw(st.sampled_from(masks)))
         clone.refresh_certain(data.draw(NARROW_MASKS), [], only_unknown=False)
@@ -188,7 +200,7 @@ class TestShardedEquivalence:
         table.decrement_unlabeled(data.draw(st.sampled_from(masks)))
         assert _observables(clone, masks) == snapshot
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="thread fan needs the GIL-releasing kernels")
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the automatic fan only shards numpy tables")
     @SETTINGS
     @given(
         inputs=table_inputs(),
@@ -203,13 +215,134 @@ class TestShardedEquivalence:
         flat = make_type_table(masks, sizes, backend="numpy")
         expected_flips = flat.refresh_certain(positive_mask, negative_masks)
         expected_counts = flat.prune_counts_informative(restricted, positive_mask, negative_masks)
-        with parallel.parallel_scope("thread", shards=7):
-            # make_type_table auto-shards because a parallel mode is active.
+        # Shrink the rule's types-per-shard floor so that these small tables
+        # shard automatically, 7 ways at most.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "TYPES_PER_SHARD", 1)
+            patch.setattr(parallel, "available_cpus", lambda: 7)
             sharded = make_type_table(masks, sizes, backend="numpy")
+        if len(masks) < 2:
+            assert not isinstance(sharded, ShardedTypeTable)
+        else:
             assert isinstance(sharded, ShardedTypeTable)
-            assert sharded.refresh_certain(positive_mask, negative_masks) == expected_flips
-            got = sharded.prune_counts_informative(restricted, positive_mask, negative_masks)
+            assert len(sharded.shards) == min(7, len(masks))
+        assert sharded.refresh_certain(positive_mask, negative_masks) == expected_flips
+        got = sharded.prune_counts_informative(restricted, positive_mask, negative_masks)
         assert got == expected_counts
+
+
+#: Trace-equivalence workloads, each with the strategies it runs.  Figure 1's
+#: two goals run every strategy.  ``optimal`` is exhaustive and exceeds its
+#: state budget past toy sizes, so the synthetic tables skip it; they also
+#: skip ``lookahead-kstep`` (the slowest to fan, at about 1 s per session),
+#: except on ``fan/3600``, an unsampled, factorised 60×60 cross product.
+_ALL_BUT_OPTIMAL = tuple(name for name in available_strategies() if name != "optimal")
+_SCORED = tuple(name for name in _ALL_BUT_OPTIMAL if name != "lookahead-kstep")
+_WORKLOADS = {
+    "figure1/q1": (figure1_workload("q1"), available_strategies()),
+    "figure1/q2": (figure1_workload("q2"), available_strategies()),
+    **{
+        f"synthetic/{workload.num_candidates}": (workload, _SCORED)
+        for workload in scalability_workloads(
+            tuples_per_relation=(6, 10, 20, 30), goal_atoms=2, seed=0
+        )
+    },
+    "fan/3600": (
+        scalability_workloads(
+            tuples_per_relation=(60,), goal_atoms=2, seed=0, max_candidate_rows=None, domain_size=30
+        )[0],
+        _ALL_BUT_OPTIMAL,
+    ),
+}
+_CASES = [
+    (workload_name, strategy_name)
+    for workload_name, (_, strategies) in sorted(_WORKLOADS.items())
+    for strategy_name in strategies
+]
+#: 1000 shards is more than any of these workloads has distinct types (≤ 119).
+_TRACE_SHARDS = (1, 2, 7, 1000)
+#: The strategies run on the wide table, where the automatic rule shards.
+_WIDE_STRATEGIES = ("lookahead-entropy", "local-most-specific", "lookahead-minmax")
+
+
+def _wide_workload():
+    """``SyntheticConfig(2, 6, 40, 3)``: 1,600 candidates, 1,553 distinct types.
+
+    The same shape as ``sessionbench``'s ``wide-schema`` tables, large enough
+    for the automatic rule to shard on two CPUs.
+    """
+    config = synthetic.SyntheticConfig(
+        num_relations=2, attributes_per_relation=6, tuples_per_relation=40, domain_size=3, seed=3
+    )
+    table = synthetic.generate_candidate_table(config)
+    return table, synthetic.random_goal_query(table, num_atoms=2, seed=3)
+
+
+def _session_signature(table, goal, strategy_name):
+    engine = JoinInferenceEngine(table, strategy=create_strategy(strategy_name, seed=7))
+    state = InferenceState(table, universe=engine.universe)
+    result = engine.run(GoalQueryOracle(goal), initial_state=state)
+    return (
+        [
+            (step.tuple_id, step.label.value, step.pruned, step.informative_remaining)
+            for step in result.trace.interactions
+        ],
+        result.query.normalized().describe(),
+        result.converged,
+    )
+
+
+def _record_tables(monkeypatch, shards=None) -> list:
+    """Route the session's type tables through ``make_type_table`` and keep them.
+
+    ``shards=None`` leaves the choice to the automatic rule.
+    """
+    built = []
+
+    def recording_table(masks, sizes, backend=None):
+        built.append(make_type_table(masks, sizes, backend=backend, shards=shards))
+        return built[-1]
+
+    monkeypatch.setattr(informativeness, "make_type_table", recording_table)
+    return built
+
+
+class TestTraceEquivalence:
+    """Fanned sessions ask the same questions and infer the same query as flat ones."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize(("workload_name", "strategy_name"), _CASES)
+    def test_sharded_sessions_match_flat(self, monkeypatch, workload_name, strategy_name, backend):
+        workload, _ = _WORKLOADS[workload_name]
+        with use_backend(backend):
+            flat = _session_signature(workload.table, workload.goal, strategy_name)
+            assert flat[2], "the flat reference session must converge"
+            for shards in _TRACE_SHARDS:
+                built = _record_tables(monkeypatch, shards)
+                got = _session_signature(workload.table, workload.goal, strategy_name)
+                monkeypatch.undo()
+                assert got == flat, f"shards={shards}"
+                assert built and all(isinstance(table, ShardedTypeTable) for table in built)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the automatic fan only shards numpy tables")
+    @pytest.mark.parametrize("strategy_name", _WIDE_STRATEGIES)
+    def test_automatic_fan_matches_flat_on_a_wide_table(self, monkeypatch, strategy_name):
+        table, goal = _wide_workload()
+        with use_backend("numpy"):
+            runs = {}
+            for label, cpus, shards in (("flat", 1, None), ("auto", 2, None), ("7", 1, 7)):
+                monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+                built = _record_tables(monkeypatch, shards)
+                runs[label] = (_session_signature(table, goal, strategy_name), built)
+                monkeypatch.undo()
+        flat, flat_tables = runs["flat"]
+        assert flat[2], "the flat reference session must converge"
+        assert flat_tables and not any(isinstance(t, ShardedTypeTable) for t in flat_tables)
+        for label in ("auto", "7"):
+            signature, tables = runs[label]
+            assert signature == flat, f"shards={label}"
+            assert tables and all(isinstance(t, ShardedTypeTable) for t in tables)
+        assert {len(t.shards) for t in runs["auto"][1]} == {2}
 
 
 class TestEvenRanges:
