@@ -2,7 +2,7 @@
 
 Since the service redesign, ``JoinInferenceEngine.run`` no longer owns the
 interactive loop — it steps an
-:class:`~repro.service.stepper.InferenceSession` and feeds it oracle answers.
+:class:`~repro.core.stepper.InferenceSession` and feeds it oracle answers.
 This benchmark keeps a faithful copy of the engine's former inline loop
 (``_DirectEngine`` below, the pre-redesign ``run``) and checks two things on
 the scalability workload:
@@ -38,8 +38,9 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro import GoalQueryOracle, JoinInferenceEngine
-from repro.core.engine import InferenceResult, InferenceTrace, Interaction
+from repro.core.engine import InferenceResult
 from repro.core.state import InferenceState
+from repro.core.stepper import InferenceTrace, Interaction
 from repro.core.strategies.registry import create_strategy
 from repro.datasets.workloads import figure1_workload
 from repro.experiments.scalability import scalability_workloads

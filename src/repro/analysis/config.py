@@ -23,8 +23,8 @@ from .framework import Scope
 
 #: Per-rule scope overrides for this repository.
 PROJECT_SCOPES: dict[str, Scope] = {
-    # The sans-IO layers: the inference core, the relational substrate, and
-    # the protocol/stepper pair.  Carve-outs: csv_io and sqlite_adapter *are*
+    # The sans-IO layers: the inference core (the protocol/stepper pair
+    # included) and the relational substrate.  Carve-outs: csv_io and sqlite_adapter *are*
     # the IO boundary of the relational layer (reading files/databases is
     # their contract); oracle.py's interactive console oracle suppresses its
     # two terminal calls inline instead.
@@ -32,8 +32,6 @@ PROJECT_SCOPES: dict[str, Scope] = {
         include=(
             "src/repro/core/*",
             "src/repro/relational/*",
-            "src/repro/service/protocol.py",
-            "src/repro/service/stepper.py",
         ),
         exclude=(
             "src/repro/relational/csv_io.py",
@@ -51,7 +49,7 @@ PROJECT_SCOPES: dict[str, Scope] = {
     # Seeded RNG everywhere.
     "RPR005": Scope(include=("*",)),
     # Wire-registry completeness is specific to the protocol module.
-    "RPR006": Scope(include=("src/repro/service/protocol.py",)),
+    "RPR006": Scope(include=("src/repro/core/protocol.py",)),
     # Executor discipline everywhere: the rule itself knows the one
     # sanctioned pool-creation site (core/parallel.py) and still forbids
     # module-level pool creation there.

@@ -1,22 +1,22 @@
-"""RPR009 — the import-layer DAG is law, at import time.
+"""RPR009 — the import-layer DAG is law.
 
 The repository's layering — ``exceptions`` at the bottom, the relational
 substrate above it, the inference core above that, then sessions, then the
 service tier, and the frontends (``experiments``, ``ui``, ``cli``) on top —
 is what keeps the sans-IO core reusable and the package importable in under
-a millisecond of surprise.  The invariant is about *import time*: a
-module-level ``from ..service import …`` in a lower layer executes the whole
-serving tier whenever the lower layer is touched, and two module-level
+a millisecond of surprise.  A module-level ``from ..service import …`` in a
+lower layer executes the whole serving tier whenever the lower layer is
+touched; the same import deferred into a function body still makes the lower
+layer depend on the upper one, only later and less visibly.  Two module-level
 imports pointing at each other are an ``ImportError`` waiting for the first
 reordering.
 
 Two kinds of findings:
 
-* a **violating edge** — a module-level (import-time) import from a layer
-  that is not in the importer's allowed set.  Imports inside ``if
-  TYPE_CHECKING:`` blocks and imports deferred into function bodies are the
-  repository's sanctioned adapter seams for pointing *up* the stack
-  (``core/engine.py`` reaches ``service.stepper`` that way) and are exempt.
+* a **violating edge** — an import, at module level or deferred into a
+  function body, from a layer that is not in the importer's allowed set.
+  Only imports inside ``if TYPE_CHECKING:`` blocks are exempt: they never
+  run, so annotations may name a type of a higher layer.
 * an **import cycle** — any cycle in the module-level import graph,
   reported once with the full path.  Cycles are flagged in *any* package,
   including synthetic test fixtures; the layer table only governs
@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from ..framework import Finding, Scope, register_rule
 from ..project import ImportEdge, ProjectModel, ProjectRule
 
-#: layer -> layers it may import at module level.  A layer absent from the
+#: layer -> layers it may import (outside ``if TYPE_CHECKING:``).  A layer absent from the
 #: table (third-party code, benchmarks, test fixtures) is unrestricted; the
 #: package root (``repro/__init__``) re-exports across layers by design.
 LAYER_DAG: dict[str, frozenset[str]] = {
@@ -84,16 +84,17 @@ class LayerArchitectureRule(ProjectRule):
     code = "RPR009"
     name = "layer-architecture"
     rationale = (
-        "module-level imports follow the declared layer DAG "
+        "imports outside TYPE_CHECKING follow the declared layer DAG "
         "(exceptions -> relational -> core -> sessions -> service -> frontends) "
         "and the import graph stays acyclic"
     )
     default_scope = Scope()
 
     def check_project(self, project: ProjectModel) -> Iterator[Finding]:
-        import_time_edges = [edge for edge in project.import_edges if edge.import_time]
-        yield from self._violating_edges(import_time_edges)
-        yield from self._cycles(import_time_edges)
+        yield from self._violating_edges(
+            [edge for edge in project.import_edges if not edge.type_checking]
+        )
+        yield from self._cycles([edge for edge in project.import_edges if edge.import_time])
 
     def _violating_edges(self, edges: list[ImportEdge]) -> Iterator[Finding]:
         seen: set[tuple[str, int, str, str]] = set()
@@ -112,12 +113,14 @@ class LayerArchitectureRule(ProjectRule):
             if allowed is None or target_layer in allowed:
                 continue
             allowed_text = ", ".join(sorted(allowed)) if allowed else "nothing"
+            when = "in a function body" if edge.deferred else "at import time"
             yield self.finding_at(
                 edge.relpath,
                 edge.line,
                 f"layer '{importer_layer}' must not import layer '{target_layer}' "
-                f"at import time ({edge.importer} -> {edge.target}; allowed: "
-                f"{allowed_text}); defer the import into the function that needs it",
+                f"{when} ({edge.importer} -> {edge.target}; allowed: "
+                f"{allowed_text}); move the code down a layer or pass what it "
+                "needs in from the caller",
             )
 
     def _cycles(self, edges: list[ImportEdge]) -> Iterator[Finding]:

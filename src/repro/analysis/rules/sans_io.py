@@ -1,8 +1,8 @@
 """RPR001 — sans-IO purity of the inference core.
 
-The engine layers (``core/``, ``relational/``) and the protocol layer
-(``service/protocol.py``, ``service/stepper.py``) are *sans-IO by
-construction*: they compute over in-memory tables and emit typed events, and
+The engine layers (``core/``, ``relational/``), the protocol and the
+stepper (``core/protocol.py``, ``core/stepper.py``) among them, are *sans-IO
+by construction*: they compute over in-memory tables and emit typed events, and
 every transport — HTTP demo, asyncio facade, cluster pipes, CLI — lives in an
 outer layer.  That is what lets one stepper implementation serve four
 frontends and what keeps the hot loop benchmarkable without mocking sockets.
@@ -82,8 +82,6 @@ class SansIORule(Rule):
         include=(
             "src/repro/core/*",
             "src/repro/relational/*",
-            "src/repro/service/protocol.py",
-            "src/repro/service/stepper.py",
         )
     )
 

@@ -1,6 +1,6 @@
 """RPR006 — the wire-format event registry is complete and unambiguous.
 
-``service/protocol.py`` defines the protocol events as frozen dataclasses,
+``core/protocol.py`` defines the protocol events as frozen dataclasses,
 each tagged with a class-level ``type = "…"`` wire string, and decodes
 incoming payloads through the ``_EVENT_CLASSES`` tag registry.  The failure
 mode this rule exists for: someone adds a fifth event dataclass, the encoder
@@ -66,7 +66,7 @@ class WireRegistryRule(Rule):
         "every tagged event dataclass is registered in _EVENT_CLASSES and the "
         "Event union, with a unique wire tag"
     )
-    default_scope = Scope(include=("src/repro/service/protocol.py",))
+    default_scope = Scope(include=("src/repro/core/protocol.py",))
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         events: dict[str, tuple[ast.ClassDef, str]] = {}

@@ -34,13 +34,13 @@ from collections.abc import Sequence
 from .core.engine import JoinInferenceEngine
 from .core.oracle import ConsoleOracle, GoalQueryOracle, Oracle
 from .core.queries import JoinQuery
+from .core.stepper import InferenceSession
 from .core.strategies.registry import available_strategies
 from .datasets import flights_hotels, setgame, synthetic, tpch
 from .exceptions import ReproError
 from .relational.candidate import CandidateTable
 from .relational.csv_io import read_candidate_table_csv
 from .relational.mappings import as_gav_mapping
-from .service.stepper import InferenceSession
 from .ui.renderer import render_table
 
 #: Built-in datasets selectable with ``--dataset``.
@@ -167,9 +167,9 @@ def run_demo(args: argparse.Namespace, oracle: Oracle) -> int:
     """Driver of the ``demo`` subcommand.
 
     The CLI is a frontend like any other since the sans-IO redesign: it steps
-    an :class:`~repro.service.stepper.InferenceSession`, consulting the
+    an :class:`~repro.core.stepper.InferenceSession`, consulting the
     oracle (a human at the terminal, or a goal query for scripted runs) for
-    each :class:`~repro.service.protocol.QuestionAsked` event.
+    each :class:`~repro.core.protocol.QuestionAsked` event.
     """
     table = load_table(args.dataset, args.csv)
     print(render_table(table, max_rows=20))

@@ -3,8 +3,9 @@
 The subpackage implements the paper's primary contribution: equality atoms and
 atom universes, join queries, equality types, example sets, the consistent
 query space, informativeness classification, label propagation, the
-interactive inference engine (Figure 2 of the paper), oracles standing in for
-the user, and the strategy families (random / local / lookahead / optimal).
+interactive inference loop (Figure 2 of the paper) as a sans-IO stepper with
+its protocol events and as a blocking engine, oracles standing in for the
+user, and the strategy families (random / local / lookahead / optimal).
 
 The hot path is *incremental*: a label is applied as a delta to the
 consistent space (:mod:`.space`) and to the per-type status cache
@@ -18,13 +19,7 @@ from-scratch rebuild for observational equivalence and speed.
 """
 
 from .atoms import AtomScope, AtomUniverse, EqualityAtom, is_subset, popcount
-from .engine import (
-    InferenceResult,
-    InferenceTrace,
-    Interaction,
-    JoinInferenceEngine,
-    infer_join,
-)
+from .engine import InferenceResult, JoinInferenceEngine, infer_join
 from .equality_types import EqualityTypeIndex
 from .examples import Example, ExampleSet, Label
 from .informativeness import (
@@ -48,6 +43,7 @@ from .propagation import PropagationResult, delta_result, diff_statuses
 from .queries import JoinQuery
 from .space import ConsistentQuerySpace
 from .state import InferenceState
+from .stepper import InferenceTrace, Interaction
 
 __all__ = [
     "AtomScope",

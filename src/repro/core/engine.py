@@ -11,96 +11,28 @@ the label — → ``output: inferred join query``.
 the inferred query, the number of membership queries asked, and convergence
 diagnostics.
 
-Since the sans-IO redesign the engine is a thin *adapter*: the loop itself
-lives in :class:`~repro.service.stepper.InferenceSession` (the caller-driven
-stepper every frontend shares) and :meth:`JoinInferenceEngine.run` merely
-feeds it oracle answers.  The blocking oracle-callback signature is kept for
-the experiments, the CLI and existing callers.
+The engine is a thin *adapter*: the loop itself lives in
+:class:`~repro.core.stepper.InferenceSession` (the caller-driven stepper
+every frontend shares), and :func:`answer_from_oracle` feeds it oracle
+answers — for :meth:`JoinInferenceEngine.run` and for
+:meth:`~repro.sessions.modes.GuidedSession.run` alike.  The blocking
+oracle-callback signature is kept for the experiments, the CLI and existing
+callers.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..exceptions import ConvergenceError
 from ..relational.candidate import CandidateTable
 from .atoms import AtomScope, AtomUniverse
-from .examples import Label
 from .oracle import Oracle
-from .propagation import PropagationResult
 from .queries import JoinQuery
 from .state import InferenceState
+from .stepper import InferenceSession, InferenceTrace, resolve_strategy
 from .strategies.base import Strategy
-from .strategies.lookahead import EntropyStrategy
-from .strategies.registry import create_strategy
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One answered membership query and its effect.
-
-    ``elapsed_seconds`` is *engine* time only — choosing the tuple plus
-    propagating the label.  The time the oracle took to answer (human or
-    crowd think-time, network latency, …) is reported separately as
-    ``oracle_seconds`` so timing experiments are not corrupted by it.
-    """
-
-    step: int
-    tuple_id: int
-    label: Label
-    pruned: int
-    informative_remaining: int
-    elapsed_seconds: float
-    oracle_seconds: float = 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Plain-dictionary form for experiment logging."""
-        return {
-            "step": self.step,
-            "tuple_id": self.tuple_id,
-            "label": self.label.value,
-            "pruned": self.pruned,
-            "informative_remaining": self.informative_remaining,
-            "elapsed_seconds": self.elapsed_seconds,
-            "oracle_seconds": self.oracle_seconds,
-        }
-
-
-@dataclass
-class InferenceTrace:
-    """The full history of one inference run."""
-
-    interactions: list[Interaction] = field(default_factory=list)
-    propagations: list[PropagationResult] = field(default_factory=list)
-
-    @property
-    def num_interactions(self) -> int:
-        """Number of membership queries asked."""
-        return len(self.interactions)
-
-    @property
-    def total_pruned(self) -> int:
-        """Total number of tuples grayed out across the run."""
-        return sum(interaction.pruned for interaction in self.interactions)
-
-    @property
-    def total_seconds(self) -> float:
-        """Total time spent choosing tuples and propagating labels.
-
-        Excludes the time the oracle took to answer; see
-        :attr:`total_oracle_seconds` for that.
-        """
-        return sum(interaction.elapsed_seconds for interaction in self.interactions)
-
-    @property
-    def total_oracle_seconds(self) -> float:
-        """Total time spent waiting for the oracle's answers."""
-        return sum(interaction.oracle_seconds for interaction in self.interactions)
-
-    def labels(self) -> dict[int, Label]:
-        """The labels collected, keyed by tuple id."""
-        return {interaction.tuple_id: interaction.label for interaction in self.interactions}
 
 
 @dataclass
@@ -148,12 +80,7 @@ class JoinInferenceEngine:
     ) -> None:
         self.table = table
         self.universe = universe if universe is not None else AtomUniverse.from_table(table, scope=scope)
-        if strategy is None:
-            self.strategy: Strategy = EntropyStrategy()
-        elif isinstance(strategy, str):
-            self.strategy = create_strategy(strategy)
-        else:
-            self.strategy = strategy
+        self.strategy = resolve_strategy(strategy)
         self.strict = strict
 
     def new_state(self) -> InferenceState:
@@ -209,36 +136,38 @@ class JoinInferenceEngine:
                     f"({len(initial_state.universe.atoms)} vs {len(self.universe.atoms)} atoms)"
                 )
         state = initial_state if initial_state is not None else self.new_state()
-        # Imported lazily: the service layer builds on top of the core types
-        # defined above, so a module-level import would be circular.
-        from ..service.stepper import InferenceSession
-
-        session = InferenceSession(self.table, mode="guided", strategy=self.strategy, state=state)
-        while not session.is_converged():
-            if max_interactions is not None and session.num_interactions >= max_interactions:
-                if require_convergence:
-                    raise ConvergenceError(
-                        f"inference did not converge within {max_interactions} interactions"
-                    )
-                return InferenceResult(
-                    query=state.inferred_query(),
-                    trace=session.trace,
-                    state=state,
-                    converged=False,
-                    strategy_name=self.strategy.name,
-                )
-            question = session.next_question()
-            oracle_started = time.perf_counter()
-            label = oracle.label(self.table, question.tuple_id)
-            oracle_seconds = time.perf_counter() - oracle_started
-            session.submit(label, oracle_seconds=oracle_seconds)
+        session = InferenceSession(self.table, strategy=self.strategy, state=state)
+        converged = answer_from_oracle(session, oracle, max_interactions)
+        if not converged and require_convergence:
+            raise ConvergenceError(
+                f"inference did not converge within {max_interactions} interactions"
+            )
         return InferenceResult(
             query=state.inferred_query(),
             trace=session.trace,
             state=state,
-            converged=True,
+            converged=converged,
             strategy_name=self.strategy.name,
         )
+
+
+def answer_from_oracle(
+    session: InferenceSession, oracle: Oracle, max_interactions: int | None = None
+) -> bool:
+    """Answer a guided session's questions from ``oracle`` until it converges.
+
+    Stops once the session holds ``max_interactions`` labels of this sitting
+    and returns whether it converged.  The time the oracle takes to answer
+    is recorded as each interaction's ``oracle_seconds``.
+    """
+    while not session.is_converged():
+        if max_interactions is not None and session.num_interactions >= max_interactions:
+            return False
+        question = session.next_question()
+        oracle_started = time.perf_counter()
+        label = oracle.label(session.table, question.tuple_id)
+        session.submit(label, oracle_seconds=time.perf_counter() - oracle_started)
+    return True
 
 
 def infer_join(

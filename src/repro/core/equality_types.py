@@ -44,7 +44,7 @@ from ..relational.columnar import (
     combo_equalities,
 )
 from .atoms import AtomUniverse, popcount
-from .kernels import numpy_enabled as _numpy_ids_on
+from .kernels import numpy_enabled
 
 
 class _FactorizedTypes:
@@ -95,7 +95,7 @@ class _FactorizedTypes:
         grouping = self.grouping
         if (
             len(combos) <= self._MANY_COMBOS
-            and _numpy_ids_on()
+            and numpy_enabled()
             and grouping.factorization.num_rows < (1 << 62)
         ):
             arrays = [grouping.combo_id_array(combo) for combo in combos]
@@ -163,7 +163,9 @@ class EqualityTypeIndex:
         """Flat tables: per-atom tight loops over interned code arrays."""
         used_columns = sorted({position for pair in pairs for position in pair})
         codes = dict(zip(used_columns, self.table.equality_codes(used_columns), strict=True))
-        self._finish_flat(columnar_equality_masks(codes, len(self.table), pairs))
+        self._finish_flat(
+            columnar_equality_masks(codes, len(self.table), pairs, use_numpy=numpy_enabled())
+        )
 
     def _build_rowwise(self) -> None:
         """Last-resort seed behaviour: one ``equality_mask`` call per row."""

@@ -68,6 +68,8 @@ def parallel_mode() -> str:
     at least two CPUs; which tables then shard depends on their size
     (:func:`auto_shards`).
     """
+    # Deferred: kernels imports this module at import time (the sharded
+    # tables fan out through it), so a module-level import would be a cycle.
     from .kernels import numpy_enabled
 
     return "thread" if numpy_enabled() and available_cpus() >= 2 else "serial"

@@ -21,14 +21,12 @@ Besides evaluation the module implements the notions the paper relies on:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
 
 from ..relational import columnar
 from ..relational.candidate import CandidateTable
+from ..relational.sql import render_flat_sql, render_join_sql
 from .atoms import AtomUniverse, EqualityAtom
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    pass
+from .kernels import numpy_enabled
 
 AtomLike = EqualityAtom | tuple[str, str]
 
@@ -130,10 +128,11 @@ class JoinQuery:
         if match is not None:
             grouping, pairs = match
             full = (1 << len(pairs)) - 1
+            use_numpy = numpy_enabled()
             selected: list[int] = []
             for combo, mask, _ in columnar.combo_equalities(grouping, pairs):
                 if mask == full:
-                    selected.extend(grouping.ids_of_combo(combo))
+                    selected.extend(grouping.ids_of_combo(combo, use_numpy=use_numpy))
             return frozenset(selected)
         position_of = {name: pos for pos, name in enumerate(table.attribute_names)}
         # Streamed iteration: the fallback must not force a factorized table
@@ -263,8 +262,6 @@ class JoinQuery:
     # ------------------------------------------------------------------ #
     def to_sql(self, table: CandidateTable, flat: bool = False) -> str:
         """Render the query as SQL (relational form or flat candidate-table form)."""
-        from ..relational.sql import render_flat_sql, render_join_sql
-
         if flat or not table.has_provenance():
             return render_flat_sql(self, table)
         return render_join_sql(self, table)

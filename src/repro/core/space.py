@@ -35,7 +35,7 @@ from collections.abc import Iterator
 
 from .atoms import AtomUniverse, is_subset
 from .equality_types import EqualityTypeIndex
-from .examples import ExampleSet
+from .examples import ExampleSet, Label
 from .queries import JoinQuery
 
 
@@ -135,8 +135,6 @@ class ConsistentQuerySpace:
         negative types and folds in only the new example's equality type —
         O(|N|) instead of re-scanning the whole example set.
         """
-        from .examples import Label
-
         already_labeled = self.examples.label_of(tuple_id) is not None
         updated = self.examples.copy()
         updated.add(tuple_id, Label.POSITIVE if positive else Label.NEGATIVE)

@@ -41,20 +41,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 Row = tuple
 
-
-def _numpy_on() -> bool:
-    """Whether the numpy fast paths are enabled for this call.
-
-    Defers to the kernel backend switch (:mod:`repro.core.kernels`) so that
-    ``REPRO_KERNEL_BACKEND`` / ``use_backend`` turn *all* array fast paths on
-    and off together; imported lazily to keep this module import-cycle-free.
-    """
-    if _np is None:
-        return False
-    from ..core.kernels import numpy_enabled
-
-    return numpy_enabled()
-
 #: Equality code of ``None`` cells.  Negative codes never satisfy an equality
 #: (``None`` and NaN never compare equal to anything, themselves included).
 NULL_CODE = -1
@@ -113,6 +99,8 @@ def columnar_equality_masks(
     codes: Mapping[int, Sequence[int]],
     num_rows: int,
     pairs: Sequence[tuple[int, int]],
+    *,
+    use_numpy: bool,
 ) -> list[int]:
     """Per-row equality bitmasks, computed column-pair-wise over code arrays.
 
@@ -121,9 +109,11 @@ def columnar_equality_masks(
     ``CandidateTable.equality_codes``).  Bit ``i`` of row ``r``'s mask is set
     when the two columns of ``pairs[i]`` hold equal non-null values on ``r``
     — one tight integer loop per pair, the columnar replacement of the
-    per-row, per-atom object comparisons.
+    per-row, per-atom object comparisons.  ``use_numpy`` is the caller's
+    kernel-backend decision (:func:`repro.core.kernels.numpy_enabled`), so
+    ``use_backend("python")`` switches this fast path off with the kernels.
     """
-    if _numpy_on() and len(pairs) < 63:
+    if use_numpy and len(pairs) < 63:
         arrays = {
             column: _np.asarray(column_codes, dtype=_np.int64)
             for column, column_codes in codes.items()
@@ -291,9 +281,13 @@ class FactorGrouping:
             self.row_gids[factor][digit] for factor, digit in enumerate(digits)
         )
 
-    def ids_of_combo(self, combo: Sequence[int]) -> list[int]:
-        """The candidate tuple ids of one group combination (ascending)."""
-        if _numpy_on() and self.factorization.num_rows < (1 << 62):
+    def ids_of_combo(self, combo: Sequence[int], *, use_numpy: bool) -> list[int]:
+        """The candidate tuple ids of one group combination (ascending).
+
+        ``use_numpy`` is the caller's kernel-backend decision, as for
+        :func:`columnar_equality_masks`.
+        """
+        if use_numpy and self.factorization.num_rows < (1 << 62):
             return self.combo_id_array(combo).tolist()
         member_lists = [self.members[factor][gid] for factor, gid in enumerate(combo)]
         tuple_id_of = self.factorization.tuple_id_of

@@ -1,13 +1,11 @@
-"""The sans-IO session protocol and the multi-tenant session service.
+"""The session services: many concurrent sessions behind one facade.
 
-This package inverts the engine's control flow so any frontend can drive
-inference:
+The sans-IO stepper (:class:`~repro.core.stepper.InferenceSession`, stepped
+with ``next_question()`` / ``submit()``) and its typed event vocabulary
+(:mod:`~repro.core.protocol`: :class:`QuestionAsked`, :class:`LabelApplied`,
+:class:`Converged`, … with a stable JSON wire form) live in the core; both
+are re-exported here.  This package serves them:
 
-* :mod:`~repro.service.protocol` — the typed event vocabulary
-  (:class:`QuestionAsked`, :class:`LabelApplied`, :class:`Converged`, …) with
-  a stable JSON wire form;
-* :mod:`~repro.service.stepper` — :class:`InferenceSession`, the pure
-  state machine the caller steps with ``next_question()`` / ``submit()``;
 * :mod:`~repro.service.service` — :class:`SessionService`, a thread-safe
   facade managing many concurrent sessions by id over a fingerprint-keyed
   table registry, with save/resume backed by the v2 persistence format;
@@ -33,11 +31,24 @@ inference:
   :class:`AsyncSessionService` for streams and backpressure on real
   multi-core parallelism).
 
-The historical blocking surfaces (``JoinInferenceEngine.run``, the
-``sessions.modes`` classes, the console demo) are thin adapters over this
-package.
+This package's ``stepper`` and ``protocol`` modules are aliases of the core
+ones, kept for callers that import them by their old paths.
 """
 
+from ..core.protocol import (
+    BatchQuestionsAsked,
+    Converged,
+    Event,
+    InteractionMode,
+    LabelApplied,
+    ProtocolError,
+    QuestionAsked,
+    decode_event,
+    encode_event,
+    event_from_wire,
+    event_to_wire,
+)
+from ..core.stepper import InferenceSession, validate_mode_options
 from .aio import AsyncSessionService
 from .cluster import (
     ClusterServiceError,
@@ -54,21 +65,7 @@ from .dispatch import (
     majority_vote,
     simulated_crowd,
 )
-from .protocol import (
-    BatchQuestionsAsked,
-    Converged,
-    Event,
-    InteractionMode,
-    LabelApplied,
-    ProtocolError,
-    QuestionAsked,
-    decode_event,
-    encode_event,
-    event_from_wire,
-    event_to_wire,
-)
 from .service import SessionDescriptor, SessionService, SessionServiceError
-from .stepper import InferenceSession, validate_mode_options
 from .transport import (
     ConnectionClosedError,
     FramedConnection,

@@ -54,11 +54,11 @@ from collections.abc import AsyncIterator, Callable
 from typing import TypeVar
 
 from ..core.parallel import create_thread_pool
+from ..core.protocol import Event, InteractionMode, LabelApplied, event_to_wire
+from ..core.stepper import AnswerSet, LabelLike
 from ..core.strategies.base import Strategy
 from ..relational.candidate import CandidateTable
-from .protocol import Event, InteractionMode, LabelApplied, event_to_wire
 from .service import SessionDescriptor, SessionService, SessionServiceError
-from .stepper import AnswerSet, LabelLike
 
 T = TypeVar("T")
 
@@ -501,7 +501,7 @@ class AsyncSessionService:
     ) -> LabelApplied:
         """Apply one label to the session and publish the resulting event.
 
-        Semantics of :meth:`~repro.service.stepper.InferenceSession.submit`:
+        Semantics of :meth:`~repro.core.stepper.InferenceSession.submit`:
         raises :class:`SessionServiceError` for an unknown session,
         :class:`~repro.exceptions.StrategyError` when a batch/manual session
         is answered without ``tuple_id``, and
@@ -525,7 +525,7 @@ class AsyncSessionService:
         :class:`LabelApplied` events appear contiguously in the stream.
         Exceptions as for :meth:`answer`; tuples made uninformative by
         earlier answers of the same batch are skipped, per
-        :meth:`~repro.service.stepper.InferenceSession.submit_many`.  When a
+        :meth:`~repro.core.stepper.InferenceSession.submit_many`.  When a
         mid-batch answer fails, the answers applied before it stay applied —
         their events are still published to the stream (the log stays
         gap-free) before the exception propagates.

@@ -80,19 +80,19 @@ import time
 import uuid
 from collections.abc import Callable
 
-from ..core.strategies.base import Strategy
-from ..core.strategies.registry import create_strategy
-from ..exceptions import ReproError
-from ..relational.candidate import CandidateTable
-from ..sessions.persistence import table_fingerprint
-from .protocol import (
+from ..core.protocol import (
     Event,
     InteractionMode,
     LabelApplied,
     event_from_wire,
 )
+from ..core.stepper import AnswerSet, LabelLike, validate_mode_options
+from ..core.strategies.base import Strategy
+from ..core.strategies.registry import create_strategy
+from ..exceptions import ReproError
+from ..relational.candidate import CandidateTable
+from ..sessions.persistence import table_fingerprint
 from .service import SessionDescriptor, SessionServiceError
-from .stepper import AnswerSet, LabelLike, validate_mode_options
 from .transport import (
     DEFAULT_MAX_FRAME_BYTES,
     ConnectionClosedError,
@@ -101,7 +101,6 @@ from .transport import (
     TransportError,
     framed_pair,
 )
-from .worker import HELLO_KIND, serve_connection, worker_entry
 from .wire import (
     ClusterServiceError,
     ClusterWorkerError,
@@ -110,6 +109,7 @@ from .wire import (
     table_from_wire,
     table_to_wire,
 )
+from .worker import HELLO_KIND, serve_connection, worker_entry
 
 __all__ = [
     "ClusterServiceError",

@@ -42,11 +42,11 @@ from dataclasses import dataclass
 
 from ..core.examples import Label
 from ..core.oracle import GoalQueryOracle, NoisyOracle, Oracle
+from ..core.protocol import BatchQuestionsAsked, Converged, QuestionAsked
 from ..core.queries import JoinQuery
 from ..exceptions import ReproError
 from ..relational.candidate import CandidateTable
 from .aio import AsyncSessionService
-from .protocol import BatchQuestionsAsked, Converged, QuestionAsked
 
 
 class DispatchError(ReproError):

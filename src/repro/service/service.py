@@ -1,7 +1,7 @@
 """A thread-safe, multi-tenant session service over the sans-IO stepper.
 
 :class:`SessionService` is the facade a web / crowd frontend talks to: it
-manages many concurrent :class:`~repro.service.stepper.InferenceSession`\\ s
+manages many concurrent :class:`~repro.core.stepper.InferenceSession`\\ s
 by id over a fingerprint-keyed table registry, with a small
 create / describe / question / answer / save / resume / close lifecycle.  All
 methods exchange plain data (protocol events, descriptors, JSON documents),
@@ -26,11 +26,17 @@ import uuid
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from ..core.protocol import Event, InteractionMode, LabelApplied
+from ..core.stepper import AnswerSet, InferenceSession, LabelLike, validate_mode_options
 from ..core.strategies.base import Strategy
 from ..exceptions import ReproError
 from ..relational.candidate import CandidateTable
-from .protocol import Event, InteractionMode, LabelApplied
-from .stepper import AnswerSet, InferenceSession, LabelLike, validate_mode_options
+from ..sessions.persistence import (
+    deserialize_state,
+    serialize_state,
+    session_options,
+    table_fingerprint,
+)
 
 
 class SessionServiceError(ReproError):
@@ -137,8 +143,6 @@ class SessionService:
         instance.  Never raises for a valid table; the fingerprint hashing
         cost is paid once per table instance (memoised).
         """
-        from ..sessions.persistence import table_fingerprint
-
         fingerprint = table_fingerprint(table)
         with self._lock:
             self._tables.setdefault(fingerprint, table)
@@ -171,8 +175,6 @@ class SessionService:
         later leaves no trace in the registry.
         """
         if isinstance(table, CandidateTable):
-            from ..sessions.persistence import table_fingerprint
-
             return table, table_fingerprint(table)
         return self.table(table), table
 
@@ -201,7 +203,7 @@ class SessionService:
         """Create a session over a table (instance, or fingerprint of a registered one).
 
         Options are validated against the mode up front (see
-        :func:`~repro.service.stepper.validate_mode_options`): raises
+        :func:`~repro.core.stepper.validate_mode_options`): raises
         :class:`ValueError` for options the mode does not accept or an
         unknown mode name, :class:`~repro.exceptions.StrategyError` for
         invalid option values or an unknown strategy name, and
@@ -353,8 +355,6 @@ class SessionService:
 
     def _document(self, managed: _ManagedSession) -> dict[str, object]:
         """The session's v3 document.  Caller holds the session lock."""
-        from ..sessions.persistence import serialize_state
-
         stepper = managed.stepper
         return serialize_state(
             stepper.state,
@@ -395,8 +395,6 @@ class SessionService:
         :meth:`create` validation errors for inconsistent session metadata.
         Neither a session nor the table is registered when any step fails.
         """
-        from ..sessions.persistence import deserialize_state, session_options
-
         if table is None:
             fingerprint = payload.get("table_fingerprint")
             if not isinstance(fingerprint, str):

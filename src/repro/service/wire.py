@@ -6,7 +6,7 @@ command/reply forms, the same table codec, and the same error taxonomy.
 They live here so neither side imports the other: commands in
 (``{"cmd": …}``), ``{"status": "ok"/"error", …}`` replies out, protocol
 events in their existing wire form
-(:func:`~repro.service.protocol.event_to_wire`), descriptors as their
+(:func:`~repro.core.protocol.event_to_wire`), descriptors as their
 ``as_dict`` form, persistence documents as-is.
 
 :func:`execute_command` is the worker-side dispatcher: one wire command
@@ -20,6 +20,7 @@ from __future__ import annotations
 import datetime
 import os
 
+from ..core.protocol import ProtocolError, event_from_wire, event_to_wire
 from ..exceptions import (
     InconsistentLabelError,
     OracleError,
@@ -29,7 +30,6 @@ from ..exceptions import (
 from ..relational.candidate import CandidateAttribute, CandidateTable
 from ..relational.types import DataType
 from ..sessions.persistence import SessionPersistenceError
-from .protocol import ProtocolError, event_from_wire, event_to_wire
 from .service import SessionService, SessionServiceError
 
 

@@ -2,13 +2,9 @@
 session statistics, and the "benefit of using a strategy" report (Figure 4).
 """
 
+from ..core.protocol import InteractionMode
 from .benefit import BenefitReport, compute_benefit
-from .modes import (
-    GuidedSession,
-    ManualSession,
-    TopKSession,
-    create_session,
-)
+from .modes import GuidedSession, ManualSession, TopKSession
 from .persistence import (
     SessionPersistenceError,
     document_strict,
@@ -29,7 +25,6 @@ __all__ = [
     "SessionStatistics",
     "TopKSession",
     "compute_benefit",
-    "create_session",
     "document_strict",
     "load_session",
     "resume_guided_session",
@@ -38,13 +33,3 @@ __all__ = [
     "table_fingerprint",
 ]
 
-
-def __getattr__(name: str) -> object:
-    # ``InteractionMode`` lives in the service layer above this one; the
-    # lazy re-export keeps ``from repro.sessions import InteractionMode``
-    # working without pulling the serving tier in at import time (RPR009).
-    if name == "InteractionMode":
-        from ..service.protocol import InteractionMode
-
-        return InteractionMode
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,108 +12,46 @@
 4. **Proposing the most informative tuple** — the fully interactive inference
    process of Figure 2 (:class:`GuidedSession`).
 
-Since the sans-IO redesign all four classes are thin adapters over one
-:class:`~repro.service.stepper.InferenceSession` (exposed as ``stepper``):
-they translate the historical method surface (``label``, ``propose``,
-``next_tuple`` / ``answer``, ``run``) into stepper commands, so every
-frontend — these classes, the engine, the CLI, the HTTP service — drives the
-identical state machine.  The underlying
-:class:`~repro.core.state.InferenceState` and the convergence criterion,
-statistics and benefit report are therefore shared as before.
+All four are :class:`~repro.core.stepper.InferenceSession`\\ s in one fixed
+mode, so every frontend — these classes, the engine, the CLI, the HTTP
+service — drives the identical state machine.  The classes add only what a
+mode needs beyond the stepper's commands: labeling with the propagation
+returned (``label``, ``answer``), the oracle-driven ``run`` loops, the
+grayed-out view, and the statistics and benefit panels.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..core.engine import Interaction
+from ..core.engine import answer_from_oracle
 from ..core.examples import Label
 from ..core.oracle import Oracle
 from ..core.propagation import PropagationResult
+from ..core.protocol import Converged, InteractionMode
 from ..core.queries import JoinQuery
 from ..core.state import InferenceState
+from ..core.stepper import InferenceSession
 from ..core.strategies.base import Strategy
 from ..exceptions import StrategyError
 from ..relational.candidate import CandidateTable
 from .benefit import BenefitReport, compute_benefit
 from .statistics import SessionStatistics
 
-if TYPE_CHECKING:
-    from ..service.protocol import InteractionMode
-    from ..service.stepper import InferenceSession
-
 __all__ = [
     "GuidedSession",
     "InteractionMode",
     "ManualSession",
     "TopKSession",
-    "create_session",
 ]
 
-# The sessions layer sits *below* the service layer, so the stepper and the
-# protocol's InteractionMode are reached through deferred imports at the
-# call sites (the sanctioned upward adapter seam, RPR009) rather than at
-# module level.  ``InteractionMode`` stays importable from here for
-# compatibility via the module-level ``__getattr__`` below.
 
+class ModeSession(InferenceSession):
+    """What every interaction type adds to the stepper: labels that return
+    their propagation, and the demo's statistics and benefit panels."""
 
-def __getattr__(name: str) -> object:
-    if name == "InteractionMode":
-        from ..service.protocol import InteractionMode
-
-        return InteractionMode
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class _BaseSession:
-    """Adapter plumbing shared by all session kinds.
-
-    Wraps an :class:`~repro.service.stepper.InferenceSession` and re-exposes
-    its state, interaction log, statistics and benefit reporting under the
-    historical attribute names.
-    """
-
-    def __init__(
-        self,
-        table: CandidateTable,
-        mode: InteractionMode,
-        state: InferenceState | None = None,
-        strategy: Strategy | str | None = None,
-        k: int | None = None,
-    ) -> None:
-        from ..service.stepper import InferenceSession
-
-        self.table = table
-        self.mode = mode
-        self.stepper = InferenceSession(
-            table, mode=mode, strategy=strategy, k=k, state=state
-        )
-        self.state = self.stepper.state
-
-    # -- labeling ------------------------------------------------------- #
     def label(self, tuple_id: int, label: Label | str | bool) -> PropagationResult:
         """Record one user label and propagate it."""
-        self.stepper.submit(label, tuple_id=tuple_id)
-        return self.stepper.last_propagation()
-
-    # -- progress ------------------------------------------------------- #
-    @property
-    def interactions(self) -> list[Interaction]:
-        """The labels given so far (the stepper's interaction log)."""
-        return self.stepper.interactions
-
-    @property
-    def num_interactions(self) -> int:
-        """Number of labels the user has given in this session."""
-        return self.stepper.num_interactions
-
-    def is_converged(self) -> bool:
-        """Whether the labels given so far identify a unique query."""
-        return self.stepper.is_converged()
-
-    def inferred_query(self) -> JoinQuery:
-        """The canonical query consistent with the labels given so far."""
-        return self.stepper.inferred_query()
+        self.submit(label, tuple_id=tuple_id)
+        return self.last_propagation()
 
     def statistics(self) -> SessionStatistics:
         """The progress panel of the demo interface."""
@@ -130,13 +68,15 @@ class _BaseSession:
         )
 
 
-class ManualSession(_BaseSession):
+class ManualSession(ModeSession):
     """Interaction types 1 and 2: the attendee labels tuples in any order.
 
     With ``gray_out=False`` (type 1) the system gives no feedback at all —
     :meth:`visible_grayed_out` stays empty even though the state internally
     knows which tuples became uninformative.  With ``gray_out=True`` (type 2)
-    every label's propagation is surfaced so the interface can gray tuples out.
+    every label's propagation is surfaced so the interface can gray tuples out,
+    and :meth:`~repro.core.stepper.InferenceSession.labelable_ids` offers only
+    the informative tuples.
     """
 
     def __init__(
@@ -145,21 +85,9 @@ class ManualSession(_BaseSession):
         gray_out: bool = False,
         state: InferenceState | None = None,
     ) -> None:
-        from ..service.protocol import InteractionMode
-
-        mode = (
-            InteractionMode.MANUAL_WITH_PRUNING if gray_out else InteractionMode.MANUAL
-        )
-        super().__init__(table, mode, state=state)
+        mode = InteractionMode.MANUAL_WITH_PRUNING if gray_out else InteractionMode.MANUAL
+        super().__init__(table, mode=mode, state=state)
         self.gray_out = gray_out
-
-    def labelable_ids(self) -> list[int]:
-        """The tuples the attendee may label next.
-
-        Type 1 lets her label any unlabeled tuple; type 2 hides the grayed-out
-        ones and only offers the informative tuples.
-        """
-        return self.stepper.labelable_ids()
 
     def visible_grayed_out(self) -> list[int]:
         """The tuples the interface currently shows as grayed out."""
@@ -184,12 +112,13 @@ class ManualSession(_BaseSession):
         return self.inferred_query()
 
 
-class TopKSession(_BaseSession):
+class TopKSession(ModeSession):
     """Interaction type 3: the system proposes the top-k informative tuples.
 
     Tuples are ranked with a lookahead score (how much either answer would
-    resolve); the attendee labels the proposed batch, the system re-ranks, and
-    so on until convergence.
+    resolve, :meth:`~repro.core.stepper.InferenceSession.propose_batch`); the
+    attendee labels the proposed batch, the system re-ranks, and so on until
+    convergence.
     """
 
     def __init__(
@@ -198,17 +127,7 @@ class TopKSession(_BaseSession):
         k: int | None = None,
         state: InferenceState | None = None,
     ) -> None:
-        from ..service.protocol import InteractionMode
-        from ..service.stepper import DEFAULT_K
-
-        if k is None:
-            k = DEFAULT_K
-        super().__init__(table, InteractionMode.TOP_K, state=state, k=k)
-        self.k = k
-
-    def propose(self, k: int | None = None) -> list[int]:
-        """The current top-k informative tuples, best first."""
-        return self.stepper.propose_batch(k)
+        super().__init__(table, mode=InteractionMode.TOP_K, k=k, state=state)
 
     def run(self, oracle: Oracle, max_rounds: int | None = None) -> JoinQuery:
         """Label proposed batches until convergence (or ``max_rounds``)."""
@@ -218,16 +137,16 @@ class TopKSession(_BaseSession):
                 break
             # Earlier labels in the same batch may make later tuples
             # uninformative; submit_many skips them, as the attendee would.
-            self.stepper.submit_many(
+            self.submit_many(
                 (tuple_id, oracle.label(self.table, tuple_id))
-                for tuple_id in self.propose()
+                for tuple_id in self.propose_batch()
                 if not self.state.status(tuple_id).is_uninformative
             )
             rounds += 1
         return self.inferred_query()
 
 
-class GuidedSession(_BaseSession):
+class GuidedSession(ModeSession):
     """Interaction type 4: the core interactive scenario of Figure 2.
 
     The system repeatedly proposes the most informative tuple according to the
@@ -243,84 +162,21 @@ class GuidedSession(_BaseSession):
         strategy: Strategy | str | None = None,
         state: InferenceState | None = None,
     ) -> None:
-        from ..service.protocol import InteractionMode
-
-        super().__init__(table, InteractionMode.GUIDED, state=state, strategy=strategy)
-        self.strategy = self.stepper.strategy
+        super().__init__(table, mode=InteractionMode.GUIDED, strategy=strategy, state=state)
 
     def next_tuple(self) -> int:
         """The tuple the system asks about next (stable until answered)."""
-        from ..service.protocol import Converged
-
-        event = self.stepper.next_question()
+        event = self.next_question()
         if isinstance(event, Converged):
             raise StrategyError("no informative tuple remains; the session has converged")
         return event.tuple_id
 
     def answer(self, label: Label | str | bool) -> PropagationResult:
         """Answer the pending membership query."""
-        self.stepper.submit(label)
-        return self.stepper.last_propagation()
+        self.submit(label)
+        return self.last_propagation()
 
     def run(self, oracle: Oracle, max_interactions: int | None = None) -> JoinQuery:
         """Run the guided loop to convergence (or ``max_interactions``)."""
-        while not self.is_converged():
-            if max_interactions is not None and self.num_interactions >= max_interactions:
-                break
-            tuple_id = self.next_tuple()
-            self.answer(oracle.label(self.table, tuple_id))
+        answer_from_oracle(self, oracle, max_interactions)
         return self.inferred_query()
-
-
-def create_session(
-    mode: InteractionMode | str,
-    table: CandidateTable,
-    **kwargs: object,
-) -> _BaseSession:
-    """Build a session of the requested interaction type.
-
-    Keyword arguments are validated against the mode *before* construction:
-    an option the mode does not understand — e.g. passing ``k`` to a guided
-    session, or ``strategy`` to a manual one — raises :class:`ValueError`
-    naming the mode, and a recognised-but-invalid value (e.g. ``k=0``) raises
-    :class:`~repro.exceptions.StrategyError`, instead of failing late or
-    being silently swallowed.  The per-mode option table is the stepper's
-    (:data:`~repro.service.stepper.MODE_OPTIONS`), plus ``state`` which every
-    mode accepts; options set to ``None`` mean "use the default".
-    """
-    from ..service.protocol import InteractionMode
-    from ..service.stepper import DEFAULT_K, MODE_OPTIONS, parse_mode, validate_mode_options
-
-    parsed = parse_mode(mode)
-    allowed = MODE_OPTIONS[parsed] | {"state"}
-    unknown = sorted(set(kwargs) - allowed)
-    if unknown:
-        extras = ", ".join(repr(name) for name in unknown)
-        accepted = ", ".join(sorted(allowed))
-        raise ValueError(
-            f"session mode {parsed.value!r} does not accept {extras} "
-            f"(accepted keyword arguments: {accepted})"
-        )
-    validate_mode_options(
-        parsed, {name: kwargs.get(name) for name in MODE_OPTIONS[parsed]}
-    )
-    state = kwargs.get("state")
-    if state is not None and not isinstance(state, InferenceState):
-        raise ValueError(
-            f"session mode {parsed.value!r}: 'state' must be an InferenceState, "
-            f"got {type(state).__name__}"
-        )
-    if parsed is InteractionMode.MANUAL:
-        return ManualSession(table, gray_out=False, state=state)
-    if parsed is InteractionMode.MANUAL_WITH_PRUNING:
-        return ManualSession(table, gray_out=True, state=state)
-    if parsed is InteractionMode.TOP_K:
-        k = kwargs.get("k")
-        return TopKSession(table, k=DEFAULT_K if k is None else k, state=state)
-    strategy = kwargs.get("strategy")
-    if strategy is not None and not isinstance(strategy, (Strategy, str)):
-        raise ValueError(
-            "session mode 'guided': 'strategy' must be a Strategy instance or a "
-            f"registry name, got {type(strategy).__name__}"
-        )
-    return GuidedSession(table, strategy=strategy, state=state)

@@ -38,6 +38,7 @@ from ..core.examples import Label
 from ..core.state import InferenceState
 from ..exceptions import ReproError
 from ..relational.candidate import CandidateTable
+from .modes import GuidedSession
 
 PathLike = str | Path
 
@@ -284,14 +285,12 @@ def resume_guided_session(
     path: PathLike,
     table: CandidateTable,
     strategy: object | None = None,
-):
+) -> GuidedSession:
     """Convenience helper: load a saved session into a fresh guided session.
 
     The explicit ``strategy`` argument wins; otherwise the strategy name
     recorded in a v2 document is used, falling back to the default.
     """
-    from .modes import GuidedSession
-
     payload = read_session_document(path)
     state = deserialize_state(payload, table)
     if strategy is None:

@@ -8,7 +8,7 @@ oracle and returns the transcript as a string, which is what the tests and the
 examples use (no interactive input needed).
 
 Both are adapters over the sans-IO stepper: the loop below consumes
-:class:`~repro.service.protocol.QuestionAsked` events — which carry the row
+:class:`~repro.core.protocol.QuestionAsked` events — which carry the row
 to render — answers them via the oracle, and feeds the labels back with
 ``submit``.  It is the same protocol conversation the HTTP demo has, printed
 instead of serialised.
@@ -20,9 +20,9 @@ from collections.abc import Callable
 
 from ..core.oracle import ConsoleOracle, Oracle
 from ..core.queries import JoinQuery
+from ..core.stepper import InferenceSession
 from ..core.strategies.base import Strategy
 from ..relational.candidate import CandidateTable
-from ..service.stepper import InferenceSession
 from ..sessions.statistics import SessionStatistics
 from .renderer import render_state, render_table
 

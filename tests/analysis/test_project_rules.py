@@ -36,21 +36,21 @@ class TestLayerArchitecture:
         write(tmp_path, "src/repro/__init__.py", "")
         write(tmp_path, "src/repro/core/__init__.py", "")
         write(tmp_path, "src/repro/service/__init__.py", "")
-        write(tmp_path, "src/repro/service/stepper.py", "class Stepper:\n    pass\n")
+        write(tmp_path, "src/repro/service/worker.py", "class Worker:\n    pass\n")
 
     def test_upward_import_time_edge_is_flagged(self, tmp_path):
         self._layout(tmp_path)
         write(
             tmp_path,
             "src/repro/core/engine.py",
-            "from ..service.stepper import Stepper\n",
+            "from ..service.worker import Worker\n",
         )
         report = run_rule(tmp_path, "RPR009")
         assert len(report.findings) == 1
         finding = report.findings[0]
         assert finding.relpath == "src/repro/core/engine.py"
-        assert "layer 'core' must not import layer 'service'" in finding.message
-        assert "defer the import" in finding.message
+        assert "layer 'core' must not import layer 'service' at import time" in finding.message
+        assert "move the code down a layer" in finding.message
 
     def test_one_import_statement_yields_one_finding(self, tmp_path):
         # ``from x import a, b`` records one edge per name; the rule dedups.
@@ -64,7 +64,7 @@ class TestLayerArchitecture:
         report = run_rule(tmp_path, "RPR009")
         assert len(report.findings) == 1
 
-    def test_deferred_and_type_checking_imports_are_sanctioned(self, tmp_path):
+    def test_deferred_upward_import_is_flagged_type_checking_is_not(self, tmp_path):
         self._layout(tmp_path)
         write(
             tmp_path,
@@ -73,16 +73,17 @@ class TestLayerArchitecture:
             from typing import TYPE_CHECKING
 
             if TYPE_CHECKING:
-                from ..service.stepper import Stepper
+                from ..service.worker import Worker
 
             def build():
-                from ..service.stepper import Stepper
+                from ..service.worker import Worker
 
-                return Stepper()
+                return Worker()
             """,
         )
         report = run_rule(tmp_path, "RPR009")
-        assert report.ok
+        assert [finding.line for finding in report.findings] == [7]
+        assert "must not import layer 'service' in a function body" in report.findings[0].message
 
     def test_downward_import_is_allowed(self, tmp_path):
         self._layout(tmp_path)

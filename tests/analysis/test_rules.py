@@ -405,7 +405,7 @@ class TestWireRegistry:
 
     def test_complete_registry_passes(self, tmp_path):
         findings = run_rule(
-            "RPR006", tmp_path, "src/repro/service/protocol.py", self.render()
+            "RPR006", tmp_path, "src/repro/core/protocol.py", self.render()
         )
         assert findings == []
 
@@ -419,7 +419,7 @@ class TestWireRegistry:
                 type = "paused"
             """,
         )
-        findings = run_rule("RPR006", tmp_path, "src/repro/service/protocol.py", source)
+        findings = run_rule("RPR006", tmp_path, "src/repro/core/protocol.py", source)
         messages = [finding.message for finding in findings]
         assert len(findings) == 2
         assert any("missing from _EVENT_CLASSES" in message for message in messages)
@@ -437,13 +437,13 @@ class TestWireRegistry:
             union="QuestionAsked, LabelApplied, QuestionAskedV2",
             registry="QuestionAsked, LabelApplied, QuestionAskedV2",
         )
-        findings = run_rule("RPR006", tmp_path, "src/repro/service/protocol.py", source)
+        findings = run_rule("RPR006", tmp_path, "src/repro/core/protocol.py", source)
         assert len(findings) == 1
         assert "collides" in findings[0].message
 
     def test_flags_stale_registry_entry(self, tmp_path):
         source = self.render(registry="QuestionAsked, LabelApplied, RemovedEvent")
-        findings = run_rule("RPR006", tmp_path, "src/repro/service/protocol.py", source)
+        findings = run_rule("RPR006", tmp_path, "src/repro/core/protocol.py", source)
         assert len(findings) == 1
         assert "'RemovedEvent'" in findings[0].message
 
@@ -456,7 +456,7 @@ class TestWireRegistry:
                 value: int
             """,
         )
-        findings = run_rule("RPR006", tmp_path, "src/repro/service/protocol.py", source)
+        findings = run_rule("RPR006", tmp_path, "src/repro/core/protocol.py", source)
         assert findings == []
 
 

@@ -101,24 +101,22 @@ class TestPartialReads:
 class TestFrameLimits:
     def test_oversized_outgoing_frame_rejected_before_sending(self):
         left, right = framed_pair(max_frame_bytes=64)
-        with pytest.raises(FrameTooLargeError, match="64-byte limit"):
-            left.send({"pad": "y" * 200})
-        # The connection survives a refused send: nothing left the process.
-        left.send({"ok": True})
-        assert right.recv() == {"ok": True}
-        left.close()
-        right.close()
+        with left, right:
+            with pytest.raises(FrameTooLargeError, match="64-byte limit"):
+                left.send({"pad": "y" * 200})
+            # The connection survives a refused send: nothing left the process.
+            left.send({"ok": True})
+            assert right.recv() == {"ok": True}
 
     def test_oversized_incoming_header_rejected_and_connection_dropped(self):
         raw, framed_side = socket.socketpair()
-        conn = FramedConnection(framed_side, max_frame_bytes=1024)
-        raw.sendall(struct.pack(">I", 50_000_000))  # a lying length header
-        with pytest.raises(FrameTooLargeError, match="1024-byte limit"):
-            conn.recv()
-        # The stream position is unknowable now; the connection is closed.
-        with pytest.raises(TransportError):
-            conn.recv()
-        raw.close()
+        with raw, FramedConnection(framed_side, max_frame_bytes=1024) as conn:
+            raw.sendall(struct.pack(">I", 50_000_000))  # a lying length header
+            with pytest.raises(FrameTooLargeError, match="1024-byte limit"):
+                conn.recv()
+            # The stream position is unknowable now; the connection is closed.
+            with pytest.raises(TransportError):
+                conn.recv()
 
     def test_non_json_body_raises_typed_error(self):
         raw, conn = _raw_pair()
@@ -130,10 +128,8 @@ class TestFrameLimits:
 
     def test_non_json_payload_raises_typed_error_on_send(self):
         left, right = framed_pair()
-        with pytest.raises(TransportError, match="not JSON-representable"):
+        with left, right, pytest.raises(TransportError, match="not JSON-representable"):
             left.send({"bad": object()})
-        left.close()
-        right.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -155,22 +151,27 @@ class TestInterleavedReplies:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pipelined_requests_keep_order_under_seeded_delays(self, seed):
         client_end, server_end = framed_pair()
-        server = threading.Thread(target=_echo_loop, args=(server_end,))
-        server.start()
-        # Delay-only schedule: every op may jitter, none may sever.
-        seeded = FaultSchedule.seeded(seed, length=40)
-        delays = {
-            op: seeded.fault_for(op)
-            for op in range(40)
-            if seeded.fault_for(op) is not None and seeded.fault_for(op)[0] == "delay"
-        }
-        client = FaultyTransport(client_end, FaultSchedule(delays))
-        for seq in range(5):  # five requests queued before any reply is read
-            client.send({"seq": seq})
-        replies = [client.recv() for _ in range(5)]
-        assert replies == [{"echo": {"seq": seq}} for seq in range(5)]
-        client.close()
-        server.join()
+        # The echo loop closes the server end once the client end closes;
+        # the outer ``with`` covers a thread that never started.
+        with server_end:
+            server = threading.Thread(target=_echo_loop, args=(server_end,))
+            server.start()
+            try:
+                # Delay-only schedule: every op may jitter, none may sever.
+                seeded = FaultSchedule.seeded(seed, length=40)
+                delays = {
+                    op: seeded.fault_for(op)
+                    for op in range(40)
+                    if seeded.fault_for(op) is not None and seeded.fault_for(op)[0] == "delay"
+                }
+                client = FaultyTransport(client_end, FaultSchedule(delays))
+                for seq in range(5):  # five requests queued before any reply is read
+                    client.send({"seq": seq})
+                replies = [client.recv() for _ in range(5)]
+                assert replies == [{"echo": {"seq": seq}} for seq in range(5)]
+            finally:
+                client_end.close()
+                server.join()
 
 
 # --------------------------------------------------------------------------- #
@@ -195,28 +196,27 @@ class TestReconnectAfterSever:
             try:
                 schedule = FaultSchedule.seeded(seed, length=24)
                 sever_at = schedule.sever_points()[0]
-                client = FaultyTransport(connect(listener.address), schedule)
-                completed = 0
-                with pytest.raises(ConnectionClosedError, match="severed"):
-                    while True:
-                        client.send({"seq": completed})
-                        assert client.recv() == {"echo": {"seq": completed}}
-                        completed += 1
+                with connect(listener.address) as first:
+                    client = FaultyTransport(first, schedule)
+                    completed = 0
+                    with pytest.raises(ConnectionClosedError, match="severed"):
+                        while True:
+                            client.send({"seq": completed})
+                            assert client.recv() == {"echo": {"seq": completed}}
+                            completed += 1
                 # Everything before the scheduled sever round-tripped intact.
                 assert completed == sever_at // 2
                 assert client.severed
                 # The reconnect-aware dial gets a fresh conversation.
-                fresh = connect(listener.address, retries=3, retry_delay=0.05)
-                fresh.send({"after": "reconnect"})
-                assert fresh.recv() == {"echo": {"after": "reconnect"}}
-                fresh.close()
+                with connect(listener.address, retries=3, retry_delay=0.05) as fresh:
+                    fresh.send({"after": "reconnect"})
+                    assert fresh.recv() == {"echo": {"after": "reconnect"}}
             finally:
                 stop.set()
                 server.join()
 
     def test_connect_to_dead_listener_reports_every_attempt(self):
-        listener = Listener()
-        address = listener.address
-        listener.close()
+        with Listener() as listener:
+            address = listener.address
         with pytest.raises(TransportError, match="3 attempt"):
-            connect(address, retries=2, retry_delay=0.01)
+            connect(address, retries=2, retry_delay=0.01).close()

@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 
 from repro import GoalQueryOracle, JoinInferenceEngine
-from repro.core.engine import InferenceResult, InferenceTrace, Interaction
+from repro.core.engine import InferenceResult
+from repro.core.stepper import InferenceTrace, Interaction
 from repro.core.strategies.registry import create_strategy
 from repro.datasets import flights_hotels
 from repro.sessions.modes import GuidedSession, TopKSession
@@ -130,4 +131,4 @@ class TestSessionAdaptersUnchanged:
             key=lambda tid: (scorer.score(*counts[tid]), -tid),
             reverse=True,
         )[:4]
-        assert session.propose() == expected
+        assert session.propose_batch() == expected

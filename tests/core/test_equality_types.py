@@ -109,3 +109,37 @@ class TestGrouping:
 
     def test_iteration_yields_masks(self, index):
         assert list(index) == list(index.masks)
+
+
+class _NoArrays:
+    """Stands in for numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used under the python backend")
+
+
+def test_python_backend_switches_off_every_array_fast_path(monkeypatch, figure1_universe):
+    from repro.core import equality_types, kernels
+    from repro.core.atoms import AtomUniverse
+    from repro.datasets.synthetic import SyntheticConfig, generate_instance, random_goal_query
+    from repro.relational import columnar
+    from repro.relational.candidate import CandidateTable
+
+    product = CandidateTable.cross_product(
+        generate_instance(
+            SyntheticConfig(
+                num_relations=2, attributes_per_relation=2, tuples_per_relation=6, domain_size=3
+            )
+        )
+    )
+    goal = random_goal_query(product, num_atoms=1, seed=0)
+    monkeypatch.setattr(columnar, "_np", _NoArrays())
+    monkeypatch.setattr(equality_types, "_np", _NoArrays())
+    with kernels.use_backend("python"):
+        flat = EqualityTypeIndex(figure1_universe)  # columnar equality masks
+        factorized = EqualityTypeIndex(AtomUniverse.from_table(product))
+        sizes = [len(factorized.tuples_with_mask(mask)) for mask in factorized.distinct_masks]
+        selected = goal.evaluate(product)  # per-combination id expansion
+    assert len(flat) == len(figure1_universe.table)
+    assert sum(sizes) == len(product)
+    assert selected and not product.is_materialized()

@@ -7,8 +7,7 @@ import json
 import pytest
 
 from repro.core.examples import Label
-from repro.core.queries import JoinQuery
-from repro.service.protocol import (
+from repro.core.protocol import (
     BatchQuestionsAsked,
     Converged,
     LabelApplied,
@@ -20,6 +19,7 @@ from repro.service.protocol import (
     event_from_wire,
     event_to_wire,
 )
+from repro.core.queries import JoinQuery
 
 EVENTS = [
     QuestionAsked(step=3, tuple_id=7, attributes=("To", "City"), row=("Paris", "Paris")),

@@ -5,15 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro import GoalQueryOracle, JoinInferenceEngine
-from repro.exceptions import StrategyError
-from repro.service.protocol import (
+from repro.core.protocol import (
     BatchQuestionsAsked,
     Converged,
     InteractionMode,
     LabelApplied,
     QuestionAsked,
 )
-from repro.service.stepper import InferenceSession, validate_mode_options
+from repro.core.stepper import InferenceSession, validate_mode_options
+from repro.exceptions import StrategyError
 
 
 def drive(session: InferenceSession, oracle, table) -> None:
@@ -164,6 +164,8 @@ class TestModeValidation:
     def test_invalid_k_value_rejected(self, figure1_table):
         with pytest.raises(StrategyError, match="positive integer"):
             InferenceSession(figure1_table, mode="top-k", k=0)
+        with pytest.raises(StrategyError, match="positive integer"):
+            InferenceSession(figure1_table, mode="top-k", k="five")
 
     def test_validate_mode_options_accepts_none_values(self):
         assert (

@@ -7,9 +7,9 @@ import threading
 import pytest
 
 from repro import GoalQueryOracle, JoinInferenceEngine, SessionService
+from repro.core.protocol import Converged, QuestionAsked
 from repro.datasets import flights_hotels, synthetic
 from repro.exceptions import StrategyError
-from repro.service.protocol import Converged, QuestionAsked
 from repro.service.service import SessionServiceError
 from repro.sessions.persistence import table_fingerprint
 

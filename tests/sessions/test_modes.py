@@ -11,10 +11,10 @@ from repro import (
     ManualSession,
     TopKSession,
 )
+from repro.core.stepper import DEFAULT_K, InferenceSession
 from repro.core.strategies import LexicographicStrategy
 from repro.datasets import flights_hotels
 from repro.exceptions import StrategyError
-from repro.sessions.modes import create_session
 
 tid = flights_hotels.paper_tuple_id
 
@@ -70,13 +70,13 @@ class TestManualSessionMode2:
 class TestTopKSession:
     def test_propose_returns_at_most_k_informative_tuples(self, figure1_table):
         session = TopKSession(figure1_table, k=3)
-        proposed = session.propose()
+        proposed = session.propose_batch()
         assert len(proposed) == 3
         assert set(proposed) <= set(session.state.informative_ids())
 
     def test_propose_with_override(self, figure1_table):
         session = TopKSession(figure1_table, k=3)
-        assert len(session.propose(k=5)) == 5
+        assert len(session.propose_batch(k=5)) == 5
 
     def test_invalid_k_rejected(self, figure1_table):
         with pytest.raises(StrategyError):
@@ -135,26 +135,6 @@ class TestGuidedSession:
         assert guided.num_interactions <= manual.num_interactions
 
 
-class TestCreateSession:
-    @pytest.mark.parametrize(
-        "mode, expected_type",
-        [
-            (InteractionMode.MANUAL, ManualSession),
-            ("manual-with-pruning", ManualSession),
-            (InteractionMode.TOP_K, TopKSession),
-            ("guided", GuidedSession),
-        ],
-    )
-    def test_factory_builds_the_right_session(self, figure1_table, mode, expected_type):
-        session = create_session(mode, figure1_table)
-        assert isinstance(session, expected_type)
-
-    def test_factory_mode_flags(self, figure1_table):
-        assert create_session("manual", figure1_table).mode is InteractionMode.MANUAL
-        assert (
-            create_session("manual-with-pruning", figure1_table).mode
-            is InteractionMode.MANUAL_WITH_PRUNING
-        )
 
     def test_interactions_recorded_with_steps(self, figure1_table, query_q2):
         session = GuidedSession(figure1_table)
@@ -164,34 +144,20 @@ class TestCreateSession:
         )
 
 
-class TestCreateSessionValidation:
-    def test_unknown_mode_names_the_known_modes(self, figure1_table):
-        with pytest.raises(ValueError, match="unknown interaction mode"):
-            create_session("telepathy", figure1_table)
+class TestModeSessionsAreSteppers:
+    def test_each_class_is_an_inference_session_in_its_mode(self, figure1_table):
+        sessions = {
+            InteractionMode.MANUAL: ManualSession(figure1_table, gray_out=False),
+            InteractionMode.MANUAL_WITH_PRUNING: ManualSession(figure1_table, gray_out=True),
+            InteractionMode.TOP_K: TopKSession(figure1_table),
+            InteractionMode.GUIDED: GuidedSession(figure1_table),
+        }
+        for mode, session in sessions.items():
+            assert isinstance(session, InferenceSession)
+            assert session.mode is mode
 
-    def test_k_rejected_for_guided_session(self, figure1_table):
-        with pytest.raises(ValueError, match="'guided' does not accept 'k'"):
-            create_session("guided", figure1_table, k=3)
-
-    def test_strategy_rejected_for_top_k_session(self, figure1_table):
-        with pytest.raises(ValueError, match="'top-k' does not accept 'strategy'"):
-            create_session("top-k", figure1_table, strategy="random")
-
-    def test_unknown_kwarg_names_the_mode(self, figure1_table):
-        with pytest.raises(ValueError, match="'manual' does not accept 'gray_out'"):
-            create_session("manual", figure1_table, gray_out=True)
-
-    def test_invalid_k_value_raises_strategy_error(self, figure1_table):
-        with pytest.raises(StrategyError):
-            create_session("top-k", figure1_table, k=0)
-        with pytest.raises(StrategyError, match="positive integer"):
-            create_session("top-k", figure1_table, k="five")
-
-    def test_non_state_state_rejected(self, figure1_table):
-        with pytest.raises(ValueError, match="'state' must be an InferenceState"):
-            create_session("guided", figure1_table, state="not-a-state")
-
-    def test_valid_kwargs_still_accepted(self, figure1_table):
-        assert create_session("top-k", figure1_table, k=2).k == 2
-        session = create_session("guided", figure1_table, strategy="random")
-        assert session.strategy.name == "random"
+    def test_options_reach_the_stepper(self, figure1_table):
+        assert TopKSession(figure1_table).k == DEFAULT_K
+        assert TopKSession(figure1_table, k=2).k == 2
+        assert GuidedSession(figure1_table, strategy="random").strategy.name == "random"
+        assert GuidedSession(figure1_table).strategy.name == "lookahead-entropy"
